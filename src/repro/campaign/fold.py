@@ -18,13 +18,19 @@ construction rather than by luck:
   with the same float expression ``floor((t - start) / width)`` the
   whole-shard path used, accumulated into one dense window — same
   floats, same bins;
-- inter-arrival histograms: within-day gaps come from the same
-  lexsort-and-diff; the gap that straddles a day boundary is
-  recovered from a per-pair last-event carry, so the merged gap
-  multiset equals the whole-shard one (days are time-disjoint);
-- everything else (category tallies, per-peer/per-prefix tables,
-  pairs-per-day) is a key-union integer sum, associative by the same
-  argument the cross-shard merge rests on.
+- Prefix+AS aggregates: one stable grouping sort per day, keyed by
+  ``(peer ASN, net, plen)``, feeds all of them.  Within-day gaps are
+  adjacent time differences inside a group (per category, over the
+  rows with that code, in the same sorted layout); the gap that
+  straddles a day boundary is recovered from a per-pair last-event
+  carry, so the merged gap multiset equals the whole-shard one
+  (batches are time-disjoint and arrive in time order).  Pairs per
+  day count group starts plus day changes inside a group, less the
+  groups that continue a day the same carry already counted;
+  per-prefix counts reduce the group sizes;
+- everything else (category tallies, per-peer tables) is a key-union
+  integer sum, associative by the same argument the cross-shard merge
+  rests on.
 
 ``tests/test_campaign.py`` asserts the equivalence digest-for-digest
 against a whole-batch reference.
@@ -39,68 +45,28 @@ import numpy as np
 from ..analysis.interarrival import FIGURE8_BINS, histogram_counts
 from ..analysis.timeseries import BinnedSeries
 from ..collector.store import SECONDS_PER_DAY
-from ..core.columns import ColumnClassifier, RecordColumns
-from ..core.instability import (
-    CategoryCounts,
-    counts_by_peer_columns,
-    counts_by_prefix_columns,
-)
+from ..core.columns import ColumnClassifier, RecordColumns, _group_sort
+from ..core.instability import CategoryCounts, counts_by_peer_columns
 from ..core.taxonomy import FINE_GRAINED_CATEGORIES
+from ..net.prefix import Prefix
 from .config import CampaignConfig, ShardSpec
 from .results import (
     TOTAL,
     PartialResult,
     ShardTimings,
     _merge_count_tables,
-    _merge_int_tables,
 )
 
-__all__ = ["ShardAccumulator", "ShardTimings", "pairs_per_day"]
+__all__ = ["ShardAccumulator", "ShardTimings"]
 
-#: Per-pair key for the inter-arrival carry: (peer ASN, net, plen).
-PairKey = Tuple[int, int, int]
+#: Per-pair key for the inter-arrival carry: ``(peer ASN << 32 | net,
+#: plen)``, the grouping sort's packed key and prefix length.
+PairKey = Tuple[int, int]
 
 #: Injected monotonic clock.  The campaign package reads no wall clock
 #: itself (it sits on the golden corpus's digest call graph, DET102);
 #: callers that want phase timings pass ``time.perf_counter`` in.
 Clock = Callable[[], float]
-
-
-def pairs_per_day(columns: RecordColumns) -> Dict[int, int]:
-    """Distinct Prefix+AS pairs per day (the Figure 9 'affected
-    routes' numerator, computed shard-locally — days never span
-    shards).
-
-    Keys are packed into scalar integers and deduplicated with a
-    lexsort + adjacent-diff scan instead of ``np.unique`` over a
-    structured array: structured dtypes fall back to generic
-    compare-based sorting, which dominated shard wall-clock on the
-    bench day.  Prefix net/plen fit one uint64 exactly (32 + 8 bits);
-    day and ASN stay separate sort keys so no width assumption is
-    needed for them.
-    """
-    n = len(columns)
-    if n == 0:
-        return {}
-    day = (columns.time // SECONDS_PER_DAY).astype(np.int64)
-    asn = columns.peer_asn
-    prefix = (columns.net.astype(np.uint64) << np.uint64(8)) | columns.plen
-    order = np.lexsort((prefix, asn, day))
-    day_s = day[order]
-    asn_s = asn[order]
-    prefix_s = prefix[order]
-    new_pair = np.empty(n, dtype=bool)
-    new_pair[0] = True
-    new_pair[1:] = (
-        (day_s[1:] != day_s[:-1])
-        | (asn_s[1:] != asn_s[:-1])
-        | (prefix_s[1:] != prefix_s[:-1])
-    )
-    days, counts = np.unique(day_s[new_pair], return_counts=True)
-    return {
-        int(d): int(count)
-        for d, count in zip(days.tolist(), counts.tolist())
-    }
 
 
 class ShardAccumulator:
@@ -120,6 +86,7 @@ class ShardAccumulator:
         "_bin_counts",
         "_names",
         "_hists",
+        "_pair_slot",
         "_last_event",
         "_by_peer",
         "_by_prefix",
@@ -152,11 +119,14 @@ class ShardAccumulator:
             name: np.zeros(len(FIGURE8_BINS), dtype=np.int64)
             for name in self._names
         }
-        self._last_event: Dict[str, Dict[PairKey, float]] = {
-            name: {} for name in self._names
-        }
+        # Each pair seen so far owns one column of ``_last_event``: its
+        # last event time per histogram (row order of ``_names``), NaN
+        # while the pair has no event of that kind yet.
+        self._pair_slot: Dict[PairKey, int] = {}
+        self._last_event = np.full((len(self._names), 0), np.nan)
         self._by_peer: Dict[int, CategoryCounts] = {}
-        self._by_prefix: Dict = {}
+        #: Events per prefix, keyed ``net << 8 | plen`` until result().
+        self._by_prefix: Dict[int, int] = {}
         self._pairs_per_day: Dict[int, int] = {}
 
     def fold_day(self, day: int, columns: RecordColumns) -> None:
@@ -178,20 +148,10 @@ class ShardAccumulator:
             codes, policy
         )
         self._fold_bins(columns)
-        self._fold_gaps(TOTAL, columns.data)
-        for category in FINE_GRAINED_CATEGORIES:
-            self._fold_gaps(
-                category.name, columns.data[codes == category.value]
-            )
         self._by_peer = _merge_count_tables(
             self._by_peer, counts_by_peer_columns(columns, codes, policy)
         )
-        self._by_prefix = _merge_int_tables(
-            self._by_prefix, counts_by_prefix_columns(columns)
-        )
-        self._pairs_per_day = _merge_int_tables(
-            self._pairs_per_day, pairs_per_day(columns)
-        )
+        self._fold_pairs(columns.data, codes)
         if clock is not None:
             self.timings.fold += clock() - classified
 
@@ -211,52 +171,121 @@ class ShardAccumulator:
             indices[valid], minlength=len(self._bin_counts)
         )
 
-    def _fold_gaps(self, name: str, data: np.ndarray) -> None:
-        """Inter-arrival gaps of ``data`` folded into histogram
-        ``name``: within-batch gaps by lexsort+diff (identical to
-        :func:`~repro.analysis.interarrival.interarrival_columns`),
-        plus each pair's boundary gap against the carried last event
-        time from earlier days."""
+    def _fold_pairs(self, data: np.ndarray, codes: np.ndarray) -> None:
+        """Fold every Prefix+AS aggregate of one batch from a single
+        stable grouping sort keyed by ``(peer ASN, net, plen)``: the
+        inter-arrival histograms, pairs per day and events per
+        prefix."""
         n = len(data)
         if n == 0:
             return
-        last = self._last_event[name]
-        order = np.lexsort(
-            (data["time"], data["plen"], data["net"], data["peer_asn"])
+        time = data["time"]
+        if (time[1:] < time[:-1]).any():
+            # Gaps are differences of time-ordered rows.  Generated and
+            # spilled days are already in time order; anything else is
+            # stably put in it first (ties keep batch order).
+            by_time = np.argsort(time, kind="stable")
+            data, codes = data[by_time], codes[by_time]
+            time = data["time"]
+            del by_time
+        order, new_group, key_sorted, plen_sorted = _group_sort(
+            data, "peer_asn"
         )
-        s = data[order]
-        asn, net, plen, t = s["peer_asn"], s["net"], s["plen"], s["time"]
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        if n > 1:
-            same = (
-                (asn[1:] == asn[:-1])
-                & (net[1:] == net[:-1])
-                & (plen[1:] == plen[:-1])
-            )
-            new_group[1:] = ~same
-            gaps = np.diff(t)[same]
-            if gaps.size:
-                self._hists[name] += histogram_counts(gaps)
+        # Within a group the sort is stable, so rows stay time-ordered.
+        t = np.take(time, order)
+        sorted_codes = np.take(codes, order)
+        del order
         starts = np.flatnonzero(new_group)
-        ends = np.append(starts[1:], n) - 1
-        carry = []
-        for a, nt, pl, first, final in zip(
-            asn[starts].tolist(),
-            net[starts].tolist(),
-            plen[starts].tolist(),
-            t[starts].tolist(),
-            t[ends].tolist(),
-        ):
-            key = (a, nt, pl)
-            previous = last.get(key)
-            if previous is not None:
-                carry.append(first - previous)
-            last[key] = final
-        if carry:
-            self._hists[name] += histogram_counts(
-                np.asarray(carry, dtype=float)
+        group_key = key_sorted[starts]
+        group_plen = plen_sorted[starts]
+        del key_sorted, plen_sorted
+
+        # Events per prefix: the group sizes, summed over peer ASNs.
+        sizes = np.diff(np.append(starts, n))
+        net = group_key & np.uint64(0xFFFFFFFF)
+        prefix_key = (net << np.uint64(8)) | group_plen.astype(np.uint64)
+        by_prefix = self._by_prefix
+        for key, count in zip(prefix_key.tolist(), sizes.tolist()):
+            by_prefix[key] = by_prefix.get(key, 0) + count
+
+        # Each group's carry slot, new pairs taking fresh columns.
+        slot_of = self._pair_slot
+        slots = np.fromiter(
+            (
+                slot_of.setdefault(key, len(slot_of))
+                for key in zip(group_key.tolist(), group_plen.tolist())
+            ),
+            dtype=np.int64,
+            count=len(starts),
+        )
+        width = self._last_event.shape[1]
+        if len(slot_of) > width:
+            grown = np.full((len(self._names), 2 * len(slot_of)), np.nan)
+            grown[:, :width] = self._last_event
+            self._last_event = grown
+
+        # Pairs per day: a (day, pair) starts at each group start and
+        # wherever the day changes inside a group, except where a
+        # group's first event falls on the day of the pair's last event
+        # in an earlier batch (a day split across batches counts once).
+        continued = (
+            self._last_event[0, slots] // SECONDS_PER_DAY
+            == t[starts] // SECONDS_PER_DAY
+        )
+        first_day, last_day = (
+            time[[0, -1]] // SECONDS_PER_DAY
+        ).astype(np.int64).tolist()
+        if first_day == last_day:
+            # A batch inside one day: one pair per uncontinued group.
+            days = [first_day]
+            pairs = [len(starts) - int(np.count_nonzero(continued))]
+        else:
+            day_of = (t // SECONDS_PER_DAY).astype(np.int64)
+            new_pair = new_group.copy()
+            new_pair[1:] |= day_of[1:] != day_of[:-1]
+            new_pair[starts[continued]] = False
+            unique_days, counts = np.unique(
+                day_of[new_pair], return_counts=True
             )
+            days, pairs = unique_days.tolist(), counts.tolist()
+            del day_of, new_pair
+        for d, count in zip(days, pairs):
+            self._pairs_per_day[d] = self._pairs_per_day.get(d, 0) + count
+
+        group = np.cumsum(new_group) - 1
+        del new_group
+        self._fold_gaps(0, t, group, slots)
+        for row, category in enumerate(FINE_GRAINED_CATEGORIES, start=1):
+            rows = np.flatnonzero(sorted_codes == category.value)
+            if rows.size:
+                self._fold_gaps(row, t[rows], group[rows], slots)
+
+    def _fold_gaps(
+        self,
+        row: int,
+        times: np.ndarray,
+        group: np.ndarray,
+        slots: np.ndarray,
+    ) -> None:
+        """Fold gaps into histogram ``_names[row]``.
+
+        ``times`` holds one kind of event in grouped layout: ``group``
+        is non-decreasing, and times are ordered within a group.
+        ``slots`` maps each group to its carry column.  Within-batch
+        gaps are adjacent differences inside a group, the same gaps
+        :func:`~repro.analysis.interarrival.interarrival_columns` finds;
+        each pair's first event adds its boundary gap against the last
+        event carried from earlier days."""
+        hist = self._hists[self._names[row]]
+        same = group[1:] == group[:-1]
+        hist += histogram_counts(np.diff(times)[same])
+        first = np.flatnonzero(np.concatenate(([True], ~same)))
+        last = np.append(first[1:], len(times)) - 1
+        pair = slots[group[first]]
+        previous = self._last_event[row, pair]
+        seen = ~np.isnan(previous)
+        hist += histogram_counts(times[first][seen] - previous[seen])
+        self._last_event[row, pair] = times[last]
 
     def result(self) -> PartialResult:
         """The shard's aggregates; call once, after the last day."""
@@ -278,7 +307,10 @@ class ShardAccumulator:
             bins=bins,
             interarrival=dict(self._hists),
             by_peer=self._by_peer,
-            by_prefix=self._by_prefix,
+            by_prefix={
+                Prefix(key >> 8, key & 0xFF): count
+                for key, count in self._by_prefix.items()
+            },
             pairs_per_day=self._pairs_per_day,
             by_exchange={self.spec.exchange: self._counts},
         )

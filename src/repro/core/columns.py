@@ -17,7 +17,7 @@ paper's logs carry ~1,500 unique ASPATHs against millions of updates).
 On top of the layout, :func:`classify_columns` reproduces the
 streaming :class:`~repro.core.classifier.StreamClassifier` taxonomy
 bit-for-bit with array operations: records are grouped per
-``(peer_id, prefix)`` by a stable lexsort, per-group predecessor state
+``(peer_id, prefix)`` by a stable grouping sort, per-group predecessor state
 (reachable / ever-announced / last-announced attributes) is derived
 with cumulative array ops, and the taxonomy transition table is
 applied to whole masks at once.  :class:`ColumnClassifier` carries the
@@ -334,13 +334,17 @@ class RecordColumns:
 
 
 def _group_sort(
-    data: np.ndarray,
+    data: np.ndarray, peer: str
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stable sort permutation grouping rows per (peer_id, prefix).
+    """Stable sort permutation grouping rows per (peer, prefix).
+
+    ``peer`` names the peer key column: ``"peer_id"`` for the
+    classifier, whose route state is per session, and ``"peer_asn"``
+    for the campaign fold, whose Prefix+AS pairs are per AS.
 
     Returns ``(order, new_group, key_sorted, plen_sorted)`` where
     ``new_group[i]`` marks the first sorted row of each group and
-    ``key_sorted`` packs ``(peer_id << 32) | net``.  Stability
+    ``key_sorted`` packs ``(peer << 32) | net``.  Stability
     matters: within a group, rows stay in batch (i.e. stream) order,
     which is what makes the vectorized classification replay the
     streaming one exactly.  Sorting on the packed key plus ``plen``
@@ -348,10 +352,11 @@ def _group_sort(
     compare two arrays instead of three.
     """
     plen = data["plen"]
+    peers = data[peer]
     n = len(data)
     if n and (plen == plen[0]).all():
         # Uniform prefix length (the common case for generated and
-        # real-table workloads).  When peer ids and row indices leave
+        # real-table workloads).  When peer keys and row indices leave
         # room next to the 32 net bits, pack (peer, net, index) into
         # one u64 and value-sort it: np.sort radix-sorts integers
         # without the permutation indirection that makes argsort an
@@ -361,11 +366,11 @@ def _group_sort(
         shift = np.uint64(idx_bits)
         mask = np.uint64((1 << idx_bits) - 1)
         arange = np.arange(n, dtype=np.uint64)
-        peer_bits = int(data["peer_id"].max()).bit_length()
+        peer_bits = int(peers.max()).bit_length()
         if peer_bits + 32 + idx_bits <= 64:
-            # Small peer ids: one value sort covers both keys.
+            # Small peer keys: one value sort covers both keys.
             packed = (
-                (data["peer_id"].astype(np.uint64) << (shift + np.uint64(32)))
+                (peers.astype(np.uint64) << (shift + np.uint64(32)))
                 | (data["net"].astype(np.uint64) << shift)
                 | arange
             )
@@ -373,7 +378,7 @@ def _group_sort(
             order = (packed & mask).astype(np.int64)
             key_sorted = packed >> shift
         else:
-            # Full-width peer ids (real collector data uses the peer's
+            # Full-width peer keys (real collector data uses the peer's
             # IP): LSD radix over two value sorts — stable-sort by net
             # first, then by peer.  Still far cheaper than one argsort.
             packed = (data["net"].astype(np.uint64) << shift) | arange
@@ -381,9 +386,7 @@ def _group_sort(
             pos1 = packed & mask
             net_by_net = packed >> shift
             packed = (
-                np.take(
-                    data["peer_id"], pos1.astype(np.int64)
-                ).astype(np.uint64)
+                np.take(peers, pos1.astype(np.int64)).astype(np.uint64)
                 << shift
             ) | arange
             packed.sort()
@@ -397,7 +400,7 @@ def _group_sort(
         new_group[0] = True
         new_group[1:] = key_sorted[1:] != key_sorted[:-1]
         return order, new_group, key_sorted, plen_sorted
-    key = (data["peer_id"].astype(np.uint64) << np.uint64(32)) | data["net"]
+    key = (peers.astype(np.uint64) << np.uint64(32)) | data["net"]
     order = np.lexsort((plen, key))
     key_sorted = key[order]
     plen_sorted = plen[order]
@@ -408,12 +411,6 @@ def _group_sort(
             plen_sorted[1:] != plen_sorted[:-1]
         )
     return order, new_group, key_sorted, plen_sorted
-
-
-def group_order(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Public :func:`_group_sort` without the sorted key columns."""
-    order, new_group, _, _ = _group_sort(data)
-    return order, new_group
 
 
 def _build_code_lut() -> np.ndarray:
@@ -496,7 +493,9 @@ class ColumnClassifier:
         if n == 0:
             return codes, policy
 
-        order, new_group, key_sorted, plen_sorted = _group_sort(data)
+        order, new_group, key_sorted, plen_sorted = _group_sort(
+            data, "peer_id"
+        )
         # np.take is markedly faster than fancy indexing for these
         # full-length gathers (contiguous output, no index checks).
         is_ann = np.take(data["kind"], order) == _ANNOUNCE

@@ -8,14 +8,17 @@ with an explicit identity — so those properties get their own tests,
 over randomized shard splits and fold orders.
 """
 
+import bisect
 import json
 import random
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from repro.analysis.interarrival import FIGURE8_BINS, histogram_counts
 from repro.analysis.timeseries import BinnedSeries
+from repro.bgp.attributes import AsPath, PathAttributes
 from repro.campaign import (
     CampaignConfig,
     CampaignLayout,
@@ -25,8 +28,15 @@ from repro.campaign import (
     run_campaign,
     run_shard,
 )
+from repro.collector.record import UpdateKind, UpdateRecord
+from repro.core.columns import (
+    AttributeTable,
+    ColumnClassifier,
+    RecordColumns,
+)
 from repro.core.instability import CategoryCounts
 from repro.core.taxonomy import UpdateCategory
+from repro.net.prefix import Prefix
 
 # Small population: ~13k records/day keeps each test run sub-second.
 FAST = dict(n_peers=8, total_prefixes=240)
@@ -41,6 +51,58 @@ def fast_config(**overrides) -> CampaignConfig:
 def shard_partials(config: CampaignConfig):
     """Each planned shard's PartialResult, computed inline."""
     return [run_shard(config, spec)[0] for spec in config.shard_plan()]
+
+
+def assert_matches_plain_reference(streamed, whole):
+    """``streamed`` (a fold of ``whole``'s day batches) equals every
+    aggregate recomputed in plain Python over ``whole.to_records()``
+    and the whole batch's one-pass classification: inter-arrival
+    histograms, per-peer tallies, per-prefix counts, pairs per day."""
+    from repro.core.taxonomy import FINE_GRAINED_CATEGORIES
+
+    codes, policy = ColumnClassifier().classify(whole)
+    fine = {c.value: c.name for c in FINE_GRAINED_CATEGORIES}
+    times = defaultdict(list)
+    by_peer = {}
+    by_prefix = Counter()
+    pairs = defaultdict(set)
+    for record, code, flip in zip(
+        whole.to_records(), codes.tolist(), policy.tolist()
+    ):
+        pair = (record.peer_asn, record.prefix)
+        times[("TOTAL",) + pair].append(record.time)
+        if code in fine:
+            times[(fine[code],) + pair].append(record.time)
+        tally = by_peer.setdefault(record.peer_asn, [Counter(), 0])
+        tally[0][UpdateCategory(code).name] += 1
+        tally[1] += flip
+        by_prefix[record.prefix] += 1
+        pairs[int(record.time // 86400)].add(pair)
+    hists = {
+        name: [0] * len(FIGURE8_BINS)
+        for name in ("TOTAL",) + tuple(fine.values())
+    }
+    for (name, _, _), series in times.items():
+        series.sort()
+        for before, after in zip(series, series[1:]):
+            # Bin b holds gaps in (edge[b-1], edge[b]]; > 24 h dropped.
+            index = bisect.bisect_left(FIGURE8_BINS, after - before)
+            if index < len(FIGURE8_BINS):
+                hists[name][index] += 1
+
+    assert streamed.records == len(whole)
+    assert {
+        name: counts.tolist()
+        for name, counts in streamed.interarrival.items()
+    } == hists
+    assert {
+        asn: (counts.nonzero_dict(), counts.policy_changes)
+        for asn, counts in streamed.by_peer.items()
+    } == {asn: (dict(c), flips) for asn, (c, flips) in by_peer.items()}
+    assert streamed.by_prefix == dict(by_prefix)
+    assert streamed.pairs_per_day == {
+        day: len(members) for day, members in pairs.items()
+    }
 
 
 class TestCampaignConfig:
@@ -318,12 +380,6 @@ class TestOutOfCore:
         computed over the shard's days as one concatenated batch."""
         from repro.analysis.interarrival import interarrival_columns
         from repro.campaign import ShardAccumulator
-        from repro.core.columns import (
-            AttributeTable,
-            ColumnClassifier,
-            RecordColumns,
-        )
-        from repro.core.instability import CategoryCounts
         from repro.workloads.generator import campaign_generator
 
         config = fast_config(days=4, shards=1)
@@ -373,6 +429,9 @@ class TestOutOfCore:
             assert (
                 streamed.interarrival[category.name] == expected
             ).all()
+        # Prefix+AS aggregates (and the histograms again), against a
+        # plain-Python recount of the concatenated records.
+        assert_matches_plain_reference(streamed, whole)
 
     def test_single_worker_never_spawns_a_pool(self, monkeypatch):
         """The workers=1 fast path must not touch multiprocessing."""
@@ -475,6 +534,178 @@ class TestOutOfCore:
         assert chunk.read_bytes() == good
         fresh = run_campaign(fast_config(days=3, shards=1))
         assert resumed.partial.digest() == fresh.partial.digest()
+
+
+#: Announcement attributes for hand-built batches: two forwarding
+#: tuples, each with a MED-only variant (the policy-change case).
+_HAND_ATTRS = tuple(
+    PathAttributes(as_path=AsPath(path), next_hop=hop, med=med)
+    for path, hop in (((701, 3561), 1), ((1239, 3561), 2))
+    for med in (None, 10)
+)
+
+_NET = 10 << 24
+
+
+def hand_built_batches(case: str, seed: int = 0):
+    """Day batches with shapes generated days never take, each as
+    ``(fold day, RecordColumns)`` on its own attribute table."""
+    rng = random.Random(f"{case}/{seed}")
+    peers = [(1, 700), (2, 701), (3, 702)]
+    prefixes = [Prefix(_NET + (i << 8), 24) for i in range(4)]
+    windows = [(d * 86400.0, (d + 1) * 86400.0) for d in range(3)]
+    if case == "shared_asn":
+        peers = [(1, 700), (2, 700), (3, 700), (4, 701)]
+    elif case == "mixed_plen":
+        # The same network under three lengths, plus a neighbour.
+        prefixes = [
+            Prefix(_NET, 8), Prefix(_NET, 16), Prefix(_NET, 24),
+            Prefix(_NET + (1 << 8), 24),
+        ]
+    elif case == "wide_keys":
+        # 32-bit peer ids and ASNs leave no room for a one-pass
+        # packed sort: the grouping takes its two-pass radix branch.
+        peers = [
+            (0xC0A80001, 4_200_000_000),
+            (0xC0A80002, 4_200_000_001),
+            (0xFFFFFFFE, 65_000),
+        ]
+    elif case == "midnight":
+        # Day 1 is split: the first batch runs into it and the second
+        # finishes it, then the third straddles the next midnight.
+        windows = [
+            (43200.0, 100000.0), (100000.0, 150000.0),
+            (150000.0, 216000.0),
+        ]
+    batches = []
+    for day, (lo, hi) in enumerate(windows):
+        n = rng.randrange(150, 300)
+        if case == "equal_times":
+            # A coarse clock: most pairs see repeated timestamps.
+            times = sorted(lo + 600.0 * rng.randrange(20) for _ in range(n))
+        else:
+            times = sorted(rng.uniform(lo, hi) for _ in range(n))
+        records = []
+        for time in times:
+            peer_id, asn = rng.choice(peers)
+            prefix = rng.choice(prefixes)
+            if rng.random() < 0.55:
+                records.append(
+                    UpdateRecord(
+                        time, peer_id, asn, prefix,
+                        UpdateKind.ANNOUNCE, rng.choice(_HAND_ATTRS),
+                    )
+                )
+            else:
+                records.append(
+                    UpdateRecord(
+                        time, peer_id, asn, prefix, UpdateKind.WITHDRAW
+                    )
+                )
+        if case == "out_of_order":
+            rng.shuffle(records)
+        batches.append(
+            (day, RecordColumns.from_records(records, AttributeTable()))
+        )
+    return batches
+
+
+HAND_BUILT_CASES = (
+    "plain", "shared_asn", "out_of_order", "equal_times", "mixed_plen",
+    "wide_keys", "midnight",
+)
+
+
+class TestFoldGrouping:
+    """The fold's one (peer ASN, prefix) grouping sort per day, on
+    batches generated days never produce, against plain-Python
+    whole-batch references."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", HAND_BUILT_CASES)
+    def test_fold_matches_whole_batch_reference(self, case, seed):
+        from repro.campaign import ShardAccumulator
+
+        config = fast_config(days=3, shards=1)
+        accumulator = ShardAccumulator(config, config.shard_plan()[0])
+        batches = hand_built_batches(case, seed)
+        for day, columns in batches:
+            accumulator.fold_day(day, columns)
+        streamed = accumulator.result()
+        whole = RecordColumns.concat([columns for _, columns in batches])
+        assert_matches_plain_reference(streamed, whole)
+        codes, policy = ColumnClassifier().classify(whole)
+        assert (
+            streamed.counts.as_dict()
+            == CategoryCounts.from_codes(codes, policy).as_dict()
+        )
+
+    def test_hand_built_cases_take_their_shapes(self):
+        """Each case really has the shape it is named for."""
+        def data(case):
+            return RecordColumns.concat(
+                [c for _, c in hand_built_batches(case)]
+            ).data
+
+        shared = data("shared_asn")
+        assert len(np.unique(shared["peer_id"])) > len(
+            np.unique(shared["peer_asn"])
+        )
+        assert len(np.unique(data("mixed_plen")["plen"])) == 3
+        assert int(data("wide_keys")["peer_asn"].max()).bit_length() == 32
+        for _, columns in hand_built_batches("out_of_order"):
+            assert (np.diff(columns.time) < 0).any()
+        assert [
+            np.unique(columns.time // 86400).tolist()
+            for _, columns in hand_built_batches("midnight")
+        ] == [[0, 1], [1], [1, 2]]
+        ties = data("equal_times")
+        assert len(np.unique(ties["time"])) < len(ties) // 2
+
+    def test_one_grouping_sort_per_day(self, monkeypatch):
+        """A day's fold sorts twice, both through the radix grouping:
+        once per (peer id, prefix) to classify, once per (peer ASN,
+        prefix) for every Prefix+AS aggregate.  No lexsort, and no
+        argsort for a day already in time order."""
+        import repro.campaign.fold as fold_module
+        import repro.core.columns as columns_module
+        from repro.campaign import ShardAccumulator
+        from repro.workloads.generator import campaign_generator
+
+        config = fast_config(days=1, shards=1)
+        spec = config.shard_plan()[0]
+        columns = campaign_generator(
+            n_peers=config.n_peers,
+            total_prefixes=config.total_prefixes,
+            population_seed=spec.population_seed,
+            generator_seed=spec.generator_seed,
+        ).day_columns(0, pair_fraction=1.0, attrs=AttributeTable())
+        accumulator = ShardAccumulator(config, spec)
+
+        calls = Counter()
+        group_sort = columns_module._group_sort
+
+        def counted_group_sort(data, peer):
+            calls[peer] += 1
+            return group_sort(data, peer)
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            columns_module, "_group_sort", counted_group_sort
+        )
+        monkeypatch.setattr(fold_module, "_group_sort", counted_group_sort)
+        for name in ("lexsort", "argsort"):
+            monkeypatch.setattr(np, name, counted(name))
+        accumulator.fold_day(0, columns)
+        assert calls == {"peer_id": 1, "peer_asn": 1}
 
 
 class TestCampaignResult:
