@@ -1,11 +1,9 @@
-"""Streaming vs columnar throughput on a synthetic generated day.
+"""Columnar classify+bin and day materialization on a generated day.
 
-The columnar tier's reason to exist is quantitative: classify+bin a
-day of records at least an order of magnitude faster than the
-streaming reference.  These benchmarks measure both tiers on the same
-materialized stream (statistical repetition via pytest-benchmark); the
-1M-record acceptance run lives in ``benchmarks/run_bench.py``, which
-records the measured ratio in ``BENCH_columns.json``.
+These benchmarks time the columnar tier's classify+bin pass and the
+two ways to materialize the same synthetic day — as a
+:class:`~repro.core.columns.RecordColumns` batch and as record
+objects (statistical repetition via pytest-benchmark).
 
 Run with::
 
@@ -17,22 +15,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.timeseries import bin_records
-from repro.core.classifier import StreamClassifier
-from repro.core.columns import ColumnClassifier, RecordColumns
+from repro.core.columns import ColumnClassifier
 from repro.core.instability import CategoryCounts
 from repro.workloads.generator import TraceGenerator
 
-#: One synthetic day, materialized once per session on both layouts.
+#: One synthetic day, materialized once per module.
 _DAY = 7
 _PAIR_FRACTION = 0.2
 _SEED = 13
-
-
-@pytest.fixture(scope="module")
-def day_records():
-    return TraceGenerator(seed=_SEED).day_records(
-        _DAY, pair_fraction=_PAIR_FRACTION
-    )
 
 
 @pytest.fixture(scope="module")
@@ -40,18 +30,6 @@ def day_columns():
     return TraceGenerator(seed=_SEED).day_columns(
         _DAY, pair_fraction=_PAIR_FRACTION
     )
-
-
-def test_streaming_classify_bin(benchmark, day_records):
-    def run():
-        classifier = StreamClassifier()
-        counts = CategoryCounts()
-        for record in day_records:
-            counts.add(classifier.feed(record))
-        bins = bin_records(day_records, bin_width=600.0)
-        return counts.total + int(bins.sum())
-
-    assert benchmark(run) == 2 * len(day_records)
 
 
 def test_columnar_classify_bin(benchmark, day_columns):

@@ -3,7 +3,7 @@
 Unlike the per-figure benchmarks (which run once and verify shape
 checks), these use pytest-benchmark's statistical repetition to track
 the throughput of the primitives every experiment leans on: radix
-longest-prefix match, the streaming classifier, the RFC 4271 codec,
+longest-prefix match, the classifier, the RFC 4271 codec,
 the damping penalty update, and the BGP decision process.
 
 Run with::
@@ -11,7 +11,6 @@ Run with::
     pytest benchmarks/bench_micro.py --benchmark-only
 """
 
-import io
 import random
 
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -20,7 +19,8 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import Route, best_route
 from repro.bgp.wire import decode_message, encode_message
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import StreamClassifier
+from repro.core.classifier import classify
+from repro.core.columns import ColumnClassifier
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
@@ -83,9 +83,9 @@ def test_classifier_throughput(benchmark):
             )
 
     def run():
-        classifier = StreamClassifier()
-        for record in records:
-            classifier.feed(record)
+        classifier = ColumnClassifier()
+        for _ in classify(records, classifier):
+            pass
         return classifier.tracked_routes()
 
     benchmark(run)

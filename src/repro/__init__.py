@@ -17,7 +17,7 @@ The package provides, from the bottom up:
   month-scale campaigns;
 - :mod:`repro.analysis` — the paper's analyses (classification,
   density, FFT/MEM/SSA spectra, inter-arrival histograms, ...);
-- :mod:`repro.core` — the update taxonomy and streaming classifier
+- :mod:`repro.core` — the update taxonomy and its columnar classifier
   (the paper's primary analytical contribution);
 - :mod:`repro.experiments` — one runner per paper table and figure.
 

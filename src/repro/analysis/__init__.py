@@ -72,9 +72,7 @@ from .detection import (
     AsRelationships,
     ColumnDetector,
     DetectionResult,
-    StreamDetector,
     detect_records,
-    detect_records_columnar,
     detection_digest,
     flag_names,
     path_flags,
@@ -137,9 +135,7 @@ __all__ = [
     "AsRelationships",
     "ColumnDetector",
     "DetectionResult",
-    "StreamDetector",
     "detect_records",
-    "detect_records_columnar",
     "detection_digest",
     "flag_names",
     "path_flags",

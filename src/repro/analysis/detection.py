@@ -38,20 +38,15 @@ path-vector stability metrics of Papadimitriou & Cabellos
 update activity that does **not** perturb reachability or forwarding —
 see :func:`stability_scores`.
 
-Two implementations are provided and proven bit-identical by the
-differential harness (``repro.verify``):
-
-- :class:`StreamDetector` — record-by-record, layered on
-  :class:`~repro.core.classifier.StreamClassifier` categories;
-- :class:`ColumnDetector` — batched over
-  :class:`~repro.core.columns.RecordColumns`, with the per-attribute
-  work (origin extraction, path checks) and the stability counters
-  vectorized and the concurrent-origin multiset updated in one scan
-  over primitive arrays.  State carries across batches, so a campaign
-  fed day by day detects exactly like one continuous stream.
-
-A third, dependency-free oracle lives in
-:mod:`repro.verify.reference` and is deliberately *not* imported here.
+:class:`ColumnDetector` is the implementation: batched over
+:class:`~repro.core.columns.RecordColumns`, with the per-attribute
+work (origin extraction, path checks) and the stability counters
+vectorized and the concurrent-origin multiset updated in one scan over
+primitive arrays.  State carries across batches, so a campaign fed day
+by day detects exactly like one continuous stream.  The differential
+harness (:mod:`repro.verify.differential`) holds it, at several batch
+cuts, to the dependency-free oracle in :mod:`repro.verify.reference`,
+which is deliberately *not* imported here.
 """
 
 from __future__ import annotations
@@ -62,8 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..collector.record import UpdateKind, UpdateRecord
-from ..core.classifier import StreamClassifier
-from ..core.columns import NO_ATTR, AttributeTable, ColumnClassifier, RecordColumns
+from ..core.columns import AttributeTable, ColumnClassifier, RecordColumns
 from ..core.taxonomy import INSTABILITY_CATEGORIES, UpdateCategory
 
 __all__ = [
@@ -77,9 +71,7 @@ __all__ = [
     "AsRelationships",
     "ColumnDetector",
     "DetectionResult",
-    "StreamDetector",
     "detect_records",
-    "detect_records_columnar",
     "detection_digest",
     "flag_names",
     "path_flags",
@@ -248,124 +240,6 @@ for _value in sorted(_INSTABILITY_VALUES):
 del _value
 
 
-class StreamDetector:
-    """Record-by-record detection (the streaming tier).
-
-    Feed time-ordered ``(record, category)`` pairs — the category comes
-    from the taxonomy classifier and drives the stability counters.
-    State persists across calls, so a month can be fed day by day.
-    """
-
-    __slots__ = (
-        "topology",
-        "counts",
-        "moas_prefixes",
-        "_route_origin",
-        "_origin_count",
-        "_last_origin",
-        "_events",
-        "_instability",
-        "_withdrawals",
-        "_flag_cache",
-    )
-
-    def __init__(self, topology: Optional[AsRelationships] = None) -> None:
-        self.topology = topology
-        #: Cumulative per-flag totals, canonical order.
-        self.counts: Dict[str, int] = {name: 0 for _, name in FLAGS}
-        #: Every (net, plen) that ever raised a MOAS conflict.
-        self.moas_prefixes = set()
-        self._route_origin: Dict[Tuple[int, int, int], int] = {}
-        self._origin_count: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._last_origin: Dict[Tuple[int, int], int] = {}
-        self._events: Dict[Tuple[int, int], int] = {}
-        self._instability: Dict[Tuple[int, int], int] = {}
-        self._withdrawals: Dict[Tuple[int, int], int] = {}
-        self._flag_cache: Dict[tuple, int] = {}
-
-    def feed(self, record: UpdateRecord, category: UpdateCategory) -> int:
-        """Detection flags for one record; updates carried state."""
-        prefix = record.prefix
-        net, plen = prefix.network, prefix.length
-        p = (net, plen)
-        key = (record.peer_id, net, plen)
-        flags = 0
-        if record.kind is UpdateKind.ANNOUNCE:
-            path = record.attributes.as_path
-            origin = path[-1] if path else record.peer_asn
-            flags = self._path_flags(path)
-            old = self._route_origin.get(key)
-            if old is not None:
-                _drop_origin(self._origin_count, p, old)
-            bucket = self._origin_count.get(p)
-            if bucket and any(o != origin for o in bucket):
-                flags |= MOAS_CONFLICT
-                self.moas_prefixes.add(p)
-            last = self._last_origin.get(p)
-            if last is not None and last != origin:
-                flags |= ORIGIN_CHANGE
-            self._last_origin[p] = origin
-            cover = _covering(self._origin_count, net, plen)
-            if cover is not None:
-                flags |= (
-                    SUBPREFIX_DEAGG
-                    if origin in self._origin_count[cover]
-                    else SUBPREFIX_FOREIGN
-                )
-            if bucket is None:
-                self._origin_count[p] = {origin: 1}
-            else:
-                bucket[origin] = bucket.get(origin, 0) + 1
-            self._route_origin[key] = origin
-        else:
-            old = self._route_origin.pop(key, None)
-            if old is not None:
-                _drop_origin(self._origin_count, p, old)
-        self._events[p] = self._events.get(p, 0) + 1
-        if category in INSTABILITY_CATEGORIES:
-            self._instability[p] = self._instability.get(p, 0) + 1
-        elif category is UpdateCategory.PLAIN_WITHDRAW:
-            self._withdrawals[p] = self._withdrawals.get(p, 0) + 1
-        if flags:
-            for bit, name in FLAGS:
-                if flags & bit:
-                    self.counts[name] += 1
-        return flags
-
-    def _path_flags(self, path) -> int:
-        if self.topology is None:
-            return 0
-        try:
-            return self._flag_cache[path]
-        except KeyError:
-            flags = path_flags(path, self.topology)
-            self._flag_cache[path] = flags
-            return flags
-
-    def stability(self) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
-        """Per-prefix ``(events, instability, withdrawals)`` counters."""
-        return {
-            p: (
-                self._events[p],
-                self._instability.get(p, 0),
-                self._withdrawals.get(p, 0),
-            )
-            for p in self._events
-        }
-
-    def state_digest(self) -> str:
-        """Digest of all carried state — tier-comparable."""
-        return _state_digest(
-            self._route_origin,
-            self._origin_count,
-            self._last_origin,
-            self._events,
-            self._instability,
-            self._withdrawals,
-            self.moas_prefixes,
-        )
-
-
 class ColumnDetector:
     """Batched detection over :class:`RecordColumns` (vectorized tier).
 
@@ -374,9 +248,10 @@ class ColumnDetector:
     over the batch with array takes; the stability counters reduce with
     ``np.bincount`` per unique prefix.  The concurrent-origin multiset
     (MOAS / origin-change / sub-prefix state) is inherently sequential
-    and runs as one scan over primitive lists.  Bit-identical to
-    :class:`StreamDetector` including cross-batch carry (proven by the
-    ``repro.verify`` differential harness).
+    and runs as one scan over primitive lists.  Cross-batch carry is
+    exact: any batching of a stream yields the flags and state of one
+    continuous pass (proven by the ``repro.verify`` differential
+    harness).
     """
 
     __slots__ = (
@@ -441,8 +316,7 @@ class ColumnDetector:
 
         ``codes`` are the row-aligned taxonomy codes from
         :meth:`~repro.core.columns.ColumnClassifier.classify` — they
-        drive the stability counters exactly as categories do in the
-        streaming tier.
+        drive the stability counters.
         """
         data = columns.data
         n = len(data)
@@ -552,6 +426,7 @@ class ColumnDetector:
         }
 
     def state_digest(self) -> str:
+        """Digest of all carried state — comparable across batchings."""
         return _state_digest(
             self._route_origin,
             self._origin_count,
@@ -583,37 +458,12 @@ class DetectionResult:
 def detect_records(
     records: Iterable[UpdateRecord],
     topology: Optional[AsRelationships] = None,
-    detector: Optional[StreamDetector] = None,
-    classifier: Optional[StreamClassifier] = None,
 ) -> DetectionResult:
-    """Streaming-tier detection over a time-ordered record stream."""
-    detector = detector if detector is not None else StreamDetector(topology)
-    classifier = classifier if classifier is not None else StreamClassifier()
-    flags = [
-        detector.feed(record, classifier.feed(record).category)
-        for record in records
-    ]
-    return DetectionResult(flags, detector)
-
-
-def detect_records_columnar(
-    records: Sequence[UpdateRecord],
-    topology: Optional[AsRelationships] = None,
-    boundaries: Sequence[int] = (),
-) -> DetectionResult:
-    """Columnar-tier detection, optionally cut into batches at
-    ``boundaries`` (row indices) to exercise the cross-batch carry."""
-    table = AttributeTable()
-    classifier = ColumnClassifier()
+    """Detection over a time-ordered record list, as one batch."""
+    columns = RecordColumns.from_records(records)
+    codes, _ = ColumnClassifier().classify(columns)
     detector = ColumnDetector(topology)
-    edges = [0] + sorted(set(boundaries)) + [len(records)]
-    flags: List[int] = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi <= lo:
-            continue
-        batch = RecordColumns.from_records(records[lo:hi], table)
-        codes, _ = classifier.classify(batch)
-        flags.extend(int(f) for f in detector.detect(batch, codes))
+    flags = detector.detect(columns, codes).tolist()
     return DetectionResult(flags, detector)
 
 
@@ -621,7 +471,7 @@ def detection_digest(
     records: Sequence[UpdateRecord], flags: Sequence[int]
 ) -> str:
     """Canonical line digest over (record, flags) pairs — the common
-    coin of all three detection tiers (the verify oracle re-implements
+    coin of the detector and the verify oracle (which re-implements
     this format without importing it)."""
     if len(records) != len(flags):
         raise ValueError("records and flags are not aligned")
@@ -647,7 +497,8 @@ def stability_scores(
     instability (AADiff/WADiff/WADup) and *not* a reachability loss
     (plain withdrawal).  A never-perturbed route scores 1.0; a route
     whose every event churns forwarding scores 0.0.  Scores are derived
-    from the integer counters, so every tier computes identical floats.
+    from the integer counters, so the detector and the oracle compute
+    identical floats.
     """
     return {
         p: 1.0 - (instability + withdrawals) / events

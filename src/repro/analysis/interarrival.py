@@ -95,7 +95,7 @@ def interarrival_columns(
     """Columnar :func:`interarrival_times`: per-pair gaps computed by
     one lexsort over (Prefix+AS, time) and a masked diff.
 
-    Returns the same multiset of gaps as the streaming version (the
+    Returns the same multiset of gaps as the record-list version (the
     ordering differs — gaps are grouped per pair in key order)."""
     data = columns.data
     if category is not None:

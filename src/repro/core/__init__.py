@@ -1,4 +1,4 @@
-"""The paper's primary contribution: the update taxonomy, the streaming
+"""The paper's primary contribution: the update taxonomy, the
 classifier, instability metrics, and result reporting."""
 
 from .taxonomy import (
@@ -8,7 +8,7 @@ from .taxonomy import (
     PATHOLOGICAL_CATEGORIES,
     UpdateCategory,
 )
-from .classifier import ClassifiedUpdate, StreamClassifier, classify
+from .classifier import ClassifiedUpdate, classify
 from .columns import (
     AttributeTable,
     ColumnClassifier,
@@ -35,7 +35,6 @@ __all__ = [
     "PATHOLOGICAL_CATEGORIES",
     "UpdateCategory",
     "ClassifiedUpdate",
-    "StreamClassifier",
     "classify",
     "AttributeTable",
     "ColumnClassifier",

@@ -1,8 +1,10 @@
-"""Streaming classification of update records into the paper's taxonomy.
+"""Classification of update records into the paper's taxonomy.
 
-The classifier consumes a time-ordered stream of
-:class:`~repro.collector.record.UpdateRecord` and labels each record
-with an :class:`~repro.core.taxonomy.UpdateCategory` by tracking, for
+:func:`classify` labels a time-ordered stream of
+:class:`~repro.collector.record.UpdateRecord` with
+:class:`~repro.core.taxonomy.UpdateCategory` values.  The labelling
+itself is the columnar tier's
+(:class:`~repro.core.columns.ColumnClassifier`), which tracks, for
 every ``(peer_id, prefix)`` pair:
 
 - whether the route is currently *reachable* via that peer, and
@@ -17,63 +19,29 @@ repeat the forwarding tuple but alter other attributes are flagged
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Tuple
 
-from ..bgp.attributes import PathAttributes
-from ..collector.record import UpdateKind, UpdateRecord
+from ..collector.record import UpdateRecord
 from ..net.prefix import Prefix
+from .columns import (
+    CATEGORY_OF_CODE,
+    ColumnClassifier,
+    RecordColumns,
+    route_state_digest,
+)
 from .taxonomy import UpdateCategory
 
 __all__ = [
     "ClassifiedUpdate",
-    "StreamClassifier",
     "classify",
     "route_state_digest",
 ]
 
-
-def route_state_digest(
-    entries: Iterable[
-        Tuple[Tuple[int, int, int], bool, bool, Optional[PathAttributes]]
-    ],
-) -> str:
-    """SHA-256 over normalized per-route classifier state.
-
-    ``entries`` are ``((peer_id, network, length), reachable,
-    ever_announced, last_attributes)`` tuples; order does not matter
-    (entries are sorted by key here).  Both classifier tiers render
-    their state through this one function, so equal states — however
-    they are keyed internally — produce equal digests.  The verify
-    layer compares these digests to prove the tiers agree not just on
-    emitted labels but on the state they would carry forward.
-    """
-    digest = hashlib.sha256()
-    for key, reachable, ever_announced, attrs in sorted(
-        entries, key=lambda entry: entry[0]
-    ):
-        if attrs is None:
-            rendered = "-"
-        else:
-            rendered = repr(
-                (
-                    attrs.next_hop,
-                    tuple(attrs.as_path),
-                    int(attrs.origin),
-                    attrs.med,
-                    attrs.local_pref,
-                    tuple(sorted(attrs.communities)),
-                    attrs.atomic_aggregate,
-                    attrs.aggregator,
-                )
-            )
-        line = (
-            f"{key[0]}|{key[1]}|{key[2]}"
-            f"|{int(reachable)}|{int(ever_announced)}|{rendered}\n"
-        )
-        digest.update(line.encode("ascii"))
-    return digest.hexdigest()
+#: Records :func:`classify` pulls from its input per columnar batch —
+#: the bound on how far it reads ahead of what it has yielded.
+CHUNK_RECORDS = 65536
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,123 +79,25 @@ class ClassifiedUpdate:
         return self.record.prefix_as
 
 
-class _RouteState:
-    """Classifier memory for one (peer, prefix) pair."""
-
-    __slots__ = ("reachable", "last_attributes", "ever_announced")
-
-    def __init__(self) -> None:
-        self.reachable = False
-        self.last_attributes: Optional[PathAttributes] = None
-        self.ever_announced = False
-
-
-class StreamClassifier:
-    """Stateful classifier over a time-ordered update stream.
-
-    Use :meth:`feed` record-by-record (the simulator does) or
-    :func:`classify` over a whole iterable (the analyses do).  State
-    persists across calls, so a month can be fed day by day.
-    """
-
-    __slots__ = ("_states",)
-
-    def __init__(self) -> None:
-        self._states: Dict[Tuple[int, Prefix], _RouteState] = {}
-
-    def feed(self, record: UpdateRecord) -> ClassifiedUpdate:
-        """Classify one record and update per-route state."""
-        key = (record.peer_id, record.prefix)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = _RouteState()
-        if record.kind is UpdateKind.ANNOUNCE:
-            result = self._classify_announce(record, state)
-        else:
-            result = self._classify_withdraw(record, state)
-        return result
-
-    def _classify_announce(
-        self, record: UpdateRecord, state: _RouteState
-    ) -> ClassifiedUpdate:
-        attrs = record.attributes
-        assert attrs is not None  # enforced by UpdateRecord
-        previous = state.last_attributes
-        if not state.ever_announced:
-            category = UpdateCategory.NEW_ANNOUNCE
-            policy = False
-        elif state.reachable:
-            # Implicit withdrawal: the announcement replaces the route.
-            assert previous is not None
-            if attrs.same_forwarding(previous):
-                category = UpdateCategory.AADUP
-                policy = attrs != previous
-            else:
-                category = UpdateCategory.AADIFF
-                policy = False
-        else:
-            # Re-announcement after an explicit withdrawal.
-            assert previous is not None
-            if attrs.same_forwarding(previous):
-                category = UpdateCategory.WADUP
-            else:
-                category = UpdateCategory.WADIFF
-            policy = False
-        state.reachable = True
-        state.ever_announced = True
-        state.last_attributes = attrs
-        return ClassifiedUpdate(record, category, policy)
-
-    def _classify_withdraw(
-        self, record: UpdateRecord, state: _RouteState
-    ) -> ClassifiedUpdate:
-        if state.reachable:
-            state.reachable = False
-            return ClassifiedUpdate(record, UpdateCategory.PLAIN_WITHDRAW)
-        # Withdrawal of an already-unreachable (or never-announced)
-        # prefix: the paper's dominant pathology.  "Most of these WWDup
-        # withdrawals are transmitted by routers belonging to autonomous
-        # systems that never previously announced reachability for the
-        # withdrawn prefixes."
-        return ClassifiedUpdate(record, UpdateCategory.WWDUP)
-
-    # -- introspection ------------------------------------------------------
-
-    def is_reachable(self, peer_id: int, prefix: Prefix) -> bool:
-        state = self._states.get((peer_id, prefix))
-        return state.reachable if state else False
-
-    def tracked_routes(self) -> int:
-        """Number of (peer, prefix) pairs with state."""
-        return len(self._states)
-
-    def state_digest(self) -> str:
-        """Digest of all per-route state (see
-        :func:`route_state_digest`); comparable across tiers."""
-        return route_state_digest(
-            (
-                (peer_id, prefix.network, prefix.length),
-                state.reachable,
-                state.ever_announced,
-                state.last_attributes,
-            )
-            for (peer_id, prefix), state in self._states.items()
-        )
-
-    def reset(self) -> None:
-        self._states.clear()
-
-
 def classify(
     records: Iterable[UpdateRecord],
-    classifier: Optional[StreamClassifier] = None,
+    classifier: Optional[ColumnClassifier] = None,
 ) -> Iterator[ClassifiedUpdate]:
-    """Classify a whole record stream (assumed time-ordered).
+    """Classify a record stream (assumed time-ordered), lazily.
 
-    Pass an existing ``classifier`` to continue from prior state — e.g.
-    when iterating a :class:`~repro.collector.store.DayStore` day by day
-    so cross-midnight sequences classify correctly.
+    The stream is read :data:`CHUNK_RECORDS` records at a time; each
+    chunk is labelled as one columnar batch, so memory stays bounded
+    however long the stream.  Pass an existing ``classifier`` to
+    continue from prior state — e.g. when iterating a
+    :class:`~repro.collector.store.DayStore` day by day so
+    cross-midnight sequences classify correctly.
     """
-    classifier = classifier or StreamClassifier()
-    for record in records:
-        yield classifier.feed(record)
+    classifier = classifier if classifier is not None else ColumnClassifier()
+    source = iter(records)
+    while True:
+        chunk = list(islice(source, CHUNK_RECORDS))
+        if not chunk:
+            return
+        codes, policy = classifier.classify(RecordColumns.from_records(chunk))
+        for record, code, flag in zip(chunk, codes.tolist(), policy.tolist()):
+            yield ClassifiedUpdate(record, CATEGORY_OF_CODE[code], flag)

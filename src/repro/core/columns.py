@@ -1,10 +1,10 @@
 """Columnar execution tier: vectorized record batches.
 
-The streaming tier processes one Python object per update — at the
-paper's scale (3–6 million updates/day for nine months) a full replay
-is CPU-bound on object churn.  This module defines the columnar
-counterpart: a :class:`RecordColumns` batch holds an entire day (or
-month) of updates as NumPy structured arrays
+Processing one Python object per update is CPU-bound on object churn
+at the paper's scale (3–6 million updates/day for nine months).  This
+module defines the columnar layout every production path runs on: a
+:class:`RecordColumns` batch holds an entire day (or month) of updates
+as NumPy structured arrays
 
     ``time:f8, peer_id:u4, peer_asn:u4, net:u4, plen:u1, kind:u1,
     attr_id:u4``
@@ -14,24 +14,24 @@ plus an :class:`AttributeTable` interning the distinct
 streams repeat a tiny attribute vocabulary millions of times — the
 paper's logs carry ~1,500 unique ASPATHs against millions of updates).
 
-On top of the layout, :func:`classify_columns` reproduces the
-streaming :class:`~repro.core.classifier.StreamClassifier` taxonomy
-bit-for-bit with array operations: records are grouped per
-``(peer_id, prefix)`` by a stable grouping sort, per-group predecessor state
-(reachable / ever-announced / last-announced attributes) is derived
-with cumulative array ops, and the taxonomy transition table is
-applied to whole masks at once.  :class:`ColumnClassifier` carries the
-per-route state across batches, so a month can be classified day by
-day exactly like the streaming tier.
+On top of the layout, :func:`classify_columns` applies the paper's
+taxonomy with array operations: records are grouped per
+``(peer_id, prefix)`` by a stable grouping sort, per-group predecessor
+state (reachable / ever-announced / last-announced attributes) is
+derived with cumulative array ops, and the taxonomy transition table
+is applied to whole masks at once.  :class:`ColumnClassifier` carries
+the per-route state across batches, so a month classified day by day
+labels exactly like one continuous stream.
 
 Conversions to and from :class:`~repro.collector.record.UpdateRecord`
-streams are lossless; the streaming tier remains the reference
-implementation (and the equivalence is asserted record-for-record in
-``tests/test_columns.py``).
+streams are lossless.  The labels are held record for record to the
+dependency-free oracle :func:`repro.verify.reference.reference_classify`
+by the differential harness (:mod:`repro.verify.differential`).
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +39,6 @@ import numpy as np
 from ..bgp.attributes import PathAttributes
 from ..collector.record import UpdateKind, UpdateRecord
 from ..net.prefix import Prefix
-from .classifier import route_state_digest
 from .taxonomy import UpdateCategory
 
 __all__ = [
@@ -51,6 +50,7 @@ __all__ = [
     "ColumnClassifier",
     "classify_columns",
     "decode_categories",
+    "route_state_digest",
 ]
 
 #: The columnar record layout.  ``net``/``plen`` unpack a prefix;
@@ -84,6 +84,48 @@ CATEGORY_OF_CODE: Tuple[Optional[UpdateCategory], ...] = (None,) + tuple(
 def decode_categories(codes: np.ndarray) -> List[UpdateCategory]:
     """Numeric category codes → :class:`UpdateCategory` objects."""
     return [CATEGORY_OF_CODE[int(code)] for code in codes]
+
+
+def route_state_digest(
+    entries: Iterable[
+        Tuple[Tuple[int, int, int], bool, bool, Optional[PathAttributes]]
+    ],
+) -> str:
+    """SHA-256 over normalized per-route classifier state.
+
+    ``entries`` are ``((peer_id, network, length), reachable,
+    ever_announced, last_attributes)`` tuples; order does not matter
+    (entries are sorted by key here).  Equal states give equal
+    digests however they are keyed internally, so the verify layer
+    can prove that a batched run carries forward the same state as
+    one continuous run, and the simulator can digest router RIBs in
+    the same rendering.
+    """
+    digest = hashlib.sha256()
+    for key, reachable, ever_announced, attrs in sorted(
+        entries, key=lambda entry: entry[0]
+    ):
+        if attrs is None:
+            rendered = "-"
+        else:
+            rendered = repr(
+                (
+                    attrs.next_hop,
+                    tuple(attrs.as_path),
+                    int(attrs.origin),
+                    attrs.med,
+                    attrs.local_pref,
+                    tuple(sorted(attrs.communities)),
+                    attrs.atomic_aggregate,
+                    attrs.aggregator,
+                )
+            )
+        line = (
+            f"{key[0]}|{key[1]}|{key[2]}"
+            f"|{int(reachable)}|{int(ever_announced)}|{rendered}\n"
+        )
+        digest.update(line.encode("ascii"))
+    return digest.hexdigest()
 
 
 class AttributeTable:
@@ -160,25 +202,27 @@ class RecordColumns:
         records: Iterable[UpdateRecord],
         attrs: Optional[AttributeTable] = None,
     ) -> "RecordColumns":
-        """Columnarize a record stream (order preserved, lossless)."""
+        """Columnarize a record stream (order preserved, lossless).
+
+        Filled one column at a time from plain lists, which is cheaper
+        than building the structured array from row tuples.
+        """
+        records = list(records)
         table = attrs if attrs is not None else AttributeTable()
-        rows = []
         intern = table.intern
         no_attr = int(NO_ATTR)
-        for r in records:
-            attr_id = no_attr if r.attributes is None else intern(r.attributes)
-            rows.append(
-                (
-                    r.time,
-                    r.peer_id,
-                    r.peer_asn,
-                    r.prefix.network,
-                    r.prefix.length,
-                    int(r.kind),
-                    attr_id,
-                )
-            )
-        data = np.array(rows, dtype=RECORD_DTYPE)
+        prefixes = [r.prefix for r in records]
+        data = np.empty(len(records), dtype=RECORD_DTYPE)
+        data["time"] = [r.time for r in records]
+        data["peer_id"] = [r.peer_id for r in records]
+        data["peer_asn"] = [r.peer_asn for r in records]
+        data["net"] = [p.network for p in prefixes]
+        data["plen"] = [p.length for p in prefixes]
+        data["kind"] = [int(r.kind) for r in records]
+        data["attr_id"] = [
+            no_attr if r.attributes is None else intern(r.attributes)
+            for r in records
+        ]
         return cls(data, table)
 
     @classmethod
@@ -347,7 +391,7 @@ def _group_sort(
     ``key_sorted`` packs ``(peer << 32) | net``.  Stability
     matters: within a group, rows stay in batch (i.e. stream) order,
     which is what makes the vectorized classification replay the
-    streaming one exactly.  Sorting on the packed key plus ``plen``
+    record-by-record semantics exactly.  Sorting on the packed key plus ``plen``
     costs two sort passes instead of three and lets the boundary test
     compare two arrays instead of three.
     """
@@ -465,7 +509,7 @@ class _CarryState:
 
 
 class ColumnClassifier:
-    """Batch classifier equivalent to :class:`StreamClassifier`.
+    """Batch classifier of the paper's taxonomy.
 
     :meth:`classify` labels every row of a batch with a taxonomy code
     (``UpdateCategory.value``) and a policy-fluctuation flag, updating
@@ -607,7 +651,7 @@ class ColumnClassifier:
         policy[order] = sorted_policy
         return codes, policy
 
-    # -- introspection (parity with StreamClassifier) ----------------------
+    # -- introspection -------------------------------------------------------
 
     def is_reachable(self, peer_id: int, prefix: Prefix) -> bool:
         state = self._states.get((peer_id, prefix.network, prefix.length))
@@ -618,10 +662,9 @@ class ColumnClassifier:
         return len(self._states)
 
     def state_digest(self) -> str:
-        """Digest of all per-route state, rendered through the same
-        :func:`~repro.core.classifier.route_state_digest` as the
-        streaming tier — equal classifier states give equal digests
-        regardless of tier."""
+        """Digest of all per-route state (see
+        :func:`route_state_digest`) — equal classifier states give
+        equal digests however the stream was cut into batches."""
         return route_state_digest(
             (
                 key,
@@ -643,8 +686,7 @@ def classify_columns(
     """Classify a whole batch; see :meth:`ColumnClassifier.classify`.
 
     Pass an existing ``classifier`` to continue from prior state (e.g.
-    a campaign fed day by day), exactly like the streaming
-    :func:`~repro.core.classifier.classify`.
+    a campaign fed day by day).
     """
     classifier = classifier or ColumnClassifier()
     return classifier.classify(columns)

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..collector.log import MemoryLog
-from ..core.classifier import StreamClassifier, classify
+from ..core.classifier import classify
 from ..core.instability import CategoryCounts
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.router import Router
-from .exchange import EXCHANGE_POINTS, ExchangePoint
+from .exchange import ExchangePoint
 
 __all__ = ["BackboneProvider", "MultiExchangeScenario"]
 

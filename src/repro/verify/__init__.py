@@ -1,8 +1,9 @@
 """The conformance layer: oracles the fast paths are held to.
 
-Every optimized tier in this repository — the columnar classifier, the
-sharded campaign runner — claims bit-identical results to the simple
-per-record semantics.  This package makes that claim checkable:
+Every optimized path in this repository — the columnar classifier and
+detector, the vectorized generator, the sharded campaign runner —
+claims bit-identical results to the simple per-record semantics.  This
+package makes that claim checkable:
 
 - :mod:`repro.verify.reference` — a deliberately naive, dependency-free
   re-implementation of the paper's taxonomy and aggregations, small
@@ -13,15 +14,16 @@ per-record semantics.  This package makes that claim checkable:
   (cross-batch carry, duplicate timestamps, re-announce-after-withdraw,
   attribute-interning collisions).
 - :mod:`repro.verify.differential` — the differential runner: pipes a
-  stream through StreamClassifier, ColumnClassifier, and the reference
-  oracle, asserts identical labels/counts/digests, and minimizes any
-  failing stream with delta-debugging shrink.
+  stream through ColumnClassifier (and ColumnDetector) at several
+  batch cuts and through the reference oracle, asserts identical
+  labels/counts/digests, and minimizes any failing stream with
+  delta-debugging shrink.
 - :mod:`repro.verify.golden` — the golden corpus: committed traces
   under ``tests/golden/`` with frozen expected outputs, plus the
   regeneration script.
 - :mod:`repro.verify.refgen` — the pre-vectorization trace-generation
-  tier (scalar per-record emission, linear-scan bin sampler), kept
-  verbatim as the differential and timing baseline for the vectorized
+  tier (scalar per-record emission, linear-scan bin sampler), kept as
+  the differential and timing baseline for the vectorized
   :meth:`~repro.workloads.generator.TraceGenerator.day_columns` path.
 - :mod:`repro.verify.chaos` — seeded fault injection around
   :func:`~repro.campaign.runner.run_campaign`: kill runs mid-shard,
@@ -37,7 +39,6 @@ from .differential import (
     run_differential,
     shrink_stream,
     stream_digest,
-    streaming_detection,
 )
 from .reference import (
     DETECTION_FLAGS,
@@ -72,7 +73,6 @@ __all__ = [
     "DifferentialReport",
     "run_differential",
     "run_detection_differential",
-    "streaming_detection",
     "columnar_detection",
     "shrink_stream",
     "stream_digest",

@@ -1,26 +1,23 @@
-"""The differential runner: three tiers, one answer.
+"""The differential runner: the columnar tier against the oracle.
 
-:func:`run_differential` pipes a stream through the three independent
+:func:`run_differential` pipes a stream through both independent
 implementations of the paper's semantics —
 
 1. the **reference oracle** (:mod:`repro.verify.reference`): naive
    dict-of-lists Python, the ground truth;
-2. the **streaming tier**
-   (:class:`~repro.core.classifier.StreamClassifier`), fed record by
-   record;
-3. the **columnar tier**
+2. the **columnar tier**
    (:class:`~repro.core.columns.ColumnClassifier`), fed as batches cut
    at several boundary sets (one batch, the stream's own adversarial
    boundaries, a midpoint split) with one shared
    :class:`~repro.core.columns.AttributeTable` across batches —
 
 and asserts they agree on every per-record label, on the category
-counts, on the stream digest, and (between the two stateful tiers) on
-the carried per-route state digest.  Any disagreement is minimized
-with delta-debugging shrink (:func:`shrink_stream`) into a
-counterexample small enough to read.
+counts and on the stream digest, and that every cut run carries
+forward the same per-route state digest as the one-batch run.  Any
+disagreement is minimized with delta-debugging shrink
+(:func:`shrink_stream`) into a counterexample small enough to read.
 
-The tier callables are injectable, so a test can hand in a broken
+The tier callable is injectable, so a test can hand in a broken
 classifier and watch the harness catch and shrink it.
 """
 
@@ -32,11 +29,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.detection import (
     AsRelationships,
-    detect_records,
-    detect_records_columnar,
+    ColumnDetector,
     detection_digest,
 )
-from ..core.classifier import StreamClassifier
 from ..core.columns import (
     AttributeTable,
     CATEGORY_OF_CODE,
@@ -60,18 +55,15 @@ __all__ = [
     "run_detection_differential",
     "shrink_stream",
     "stream_digest",
-    "streaming_labels",
     "columnar_labels",
-    "streaming_detection",
     "columnar_detection",
 ]
 
 #: A tier's verdict on a stream: per-record ``(category name, policy)``
 #: labels plus the classifier's end-of-stream state digest (None for
-#: the stateless reference oracle).
+#: an injected stand-in that opts out of the state comparison).
 Labels = List[Tuple[str, bool]]
 TierRun = Tuple[Labels, Optional[str]]
-StreamTier = Callable[[Sequence], TierRun]
 ColumnTier = Callable[[Sequence, Sequence[int]], TierRun]
 
 
@@ -91,16 +83,6 @@ def stream_digest(records: Sequence, labels: Labels) -> str:
     return digest.hexdigest()
 
 
-def streaming_labels(records: Sequence) -> TierRun:
-    """Run the streaming tier record by record."""
-    classifier = StreamClassifier()
-    labels: Labels = [
-        (update.category.name, update.policy_change)
-        for update in (classifier.feed(record) for record in records)
-    ]
-    return labels, classifier.state_digest()
-
-
 def columnar_labels(
     records: Sequence, boundaries: Sequence[int] = ()
 ) -> TierRun:
@@ -110,21 +92,29 @@ def columnar_labels(
     ColumnClassifier carries state across them — exactly how the
     campaign layer feeds a run day by day.
     """
-    cuts = sorted(
-        {b for b in boundaries if 0 < b < len(records)}
-    )
-    edges = [0, *cuts, len(records)]
-    table = AttributeTable()
     classifier = ColumnClassifier()
     labels: Labels = []
-    for lo, hi in zip(edges, edges[1:]):
-        batch = RecordColumns.from_records(records[lo:hi], attrs=table)
+    for batch in _cut_batches(records, boundaries):
         codes, policy = classifier.classify(batch)
         labels.extend(
             (CATEGORY_OF_CODE[int(code)].name, bool(flag))
             for code, flag in zip(codes, policy)
         )
     return labels, classifier.state_digest()
+
+
+def _cut_batches(
+    records: Sequence, boundaries: Sequence[int]
+) -> List[RecordColumns]:
+    """``records`` as columnar batches cut at ``boundaries`` (row
+    indices), all interning into one shared AttributeTable."""
+    cuts = sorted({b for b in boundaries if 0 < b < len(records)})
+    edges = [0, *cuts, len(records)]
+    table = AttributeTable()
+    return [
+        RecordColumns.from_records(records[lo:hi], attrs=table)
+        for lo, hi in zip(edges, edges[1:])
+    ]
 
 
 def _batchings(
@@ -147,8 +137,8 @@ class DifferentialMismatch:
     ``kind`` is ``"label"`` (a per-record category/policy divergence),
     ``"digest"`` (stream digests differ — only possible with a
     rendering bug, since labels already compared equal), ``"counts"``
-    (aggregate tallies differ), or ``"state"`` (the streaming and
-    columnar tiers ended with different carried state).
+    (aggregate tallies differ), or ``"state"`` (a cut run ended with
+    different carried state than the one-batch run).
     """
 
     stream_name: str
@@ -208,19 +198,16 @@ class DifferentialReport:
 
 
 def _first_mismatch(
-    stream: FuzzStream,
-    stream_tier: StreamTier,
-    column_tier: ColumnTier,
+    stream: FuzzStream, column_tier: ColumnTier
 ) -> Optional[DifferentialMismatch]:
-    """Check one stream against the oracle; None when all tiers agree."""
+    """Check one stream against the oracle; None when every batching
+    agrees with it."""
     records = stream.records
     expected = reference_classify(records)
     expected_counts = reference_counts(records)
     expected_digest = stream_digest(records, expected)
 
     runs: List[Tuple[str, Labels, Optional[str]]] = []
-    labels, state = stream_tier(records)
-    runs.append(("streaming", labels, state))
     for batching_name, cuts in _batchings(len(records), stream.boundaries):
         labels, state = column_tier(records, cuts)
         runs.append((f"columnar[{batching_name}]", labels, state))
@@ -268,9 +255,9 @@ def _first_mismatch(
         if digest != expected_digest:
             return mismatch(tier, "digest", None, expected_digest, digest)
 
-    # All stateful tiers must also agree on the state they would carry
-    # into a hypothetical next batch.  Tiers without a state digest
-    # (e.g. an injected stand-in returning None) simply opt out.
+    # Every batching must also carry the same state into a
+    # hypothetical next batch as the one-batch run.  Runs without a
+    # state digest (an injected stand-in returning None) opt out.
     state_digests = [
         (tier, state) for tier, _, state in runs if state is not None
     ]
@@ -340,10 +327,8 @@ def shrink_stream(
     return current
 
 
-def _shrink_predicate(
-    stream_tier: StreamTier, column_tier: ColumnTier
-) -> Callable[[List], bool]:
-    """Does any tier disagree with the oracle on this record list?
+def _shrink_predicate(column_tier: ColumnTier) -> Callable[[List], bool]:
+    """Does any batching disagree with the oracle on this record list?
 
     Batch boundaries do not survive subsetting, so the shrunk stream
     is re-checked at every possible single cut — exhaustive but cheap
@@ -354,36 +339,32 @@ def _shrink_predicate(
     def failing(subset: List) -> bool:
         cuts = tuple(range(1, len(subset)))
         probe = FuzzStream("shrink", 0, list(subset), list(cuts))
-        return (
-            _first_mismatch(probe, stream_tier, column_tier) is not None
-        )
+        return _first_mismatch(probe, column_tier) is not None
 
     return failing
 
 
 def run_differential(
     streams: Iterable[FuzzStream],
-    stream_tier: StreamTier = streaming_labels,
     column_tier: ColumnTier = columnar_labels,
     shrink: bool = True,
     stop_on_first: bool = False,
 ) -> DifferentialReport:
     """Check every stream against the oracle; see module docstring.
 
-    ``stream_tier`` / ``column_tier`` default to the real
-    implementations; tests inject broken ones to prove the harness
-    catches and minimizes them.  With ``shrink``, each mismatch
+    ``column_tier`` defaults to the real implementation; tests inject
+    broken ones to prove the harness catches and minimizes them.  With ``shrink``, each mismatch
     carries a ddmin-minimized counterexample.
     """
     report = DifferentialReport()
     for stream in streams:
         report.streams += 1
         report.records += len(stream.records)
-        found = _first_mismatch(stream, stream_tier, column_tier)
+        found = _first_mismatch(stream, column_tier)
         if found is None:
             continue
         if shrink:
-            predicate = _shrink_predicate(stream_tier, column_tier)
+            predicate = _shrink_predicate(column_tier)
             if predicate(stream.records):
                 found.shrunk = shrink_stream(stream.records, predicate)
         report.mismatches.append(found)
@@ -392,25 +373,16 @@ def run_differential(
     return report
 
 
-# -- the detection differential: three tiers of adversarial flags -----------
+# -- the detection differential: adversarial flags vs the oracle ------------
 
 #: A detection tier's verdict: per-record flag bitmasks plus the
-#: detector's end-of-stream state digest (None for the stateless
-#: reference oracle, or for injected stand-ins that opt out).
+#: detector's end-of-stream state digest (None for injected stand-ins
+#: that opt out of the state comparison).
 Flags = List[int]
 DetectionRun = Tuple[Flags, Optional[str]]
-StreamDetectionTier = Callable[[Sequence, Optional[AsRelationships]], DetectionRun]
 ColumnDetectionTier = Callable[
     [Sequence, Sequence[int], Optional[AsRelationships]], DetectionRun
 ]
-
-
-def streaming_detection(
-    records: Sequence, topology: Optional[AsRelationships] = None
-) -> DetectionRun:
-    """Run the streaming detection tier record by record."""
-    result = detect_records(records, topology)
-    return result.flags, result.detector.state_digest()
 
 
 def columnar_detection(
@@ -419,15 +391,20 @@ def columnar_detection(
     topology: Optional[AsRelationships] = None,
 ) -> DetectionRun:
     """Run the columnar detection tier over batches cut at
-    ``boundaries``, with one detector carrying state across batches."""
-    result = detect_records_columnar(records, topology, boundaries)
-    return result.flags, result.detector.state_digest()
+    ``boundaries``, with one classifier and one detector carrying
+    state across batches."""
+    classifier = ColumnClassifier()
+    detector = ColumnDetector(topology)
+    flags: Flags = []
+    for batch in _cut_batches(records, boundaries):
+        codes, _ = classifier.classify(batch)
+        flags.extend(detector.detect(batch, codes).tolist())
+    return flags, detector.state_digest()
 
 
 def _first_detection_mismatch(
     stream: FuzzStream,
     topology: Optional[AsRelationships],
-    stream_tier: StreamDetectionTier,
     column_tier: ColumnDetectionTier,
 ) -> Optional[DifferentialMismatch]:
     """Check one stream's detection flags against the oracle."""
@@ -438,8 +415,6 @@ def _first_detection_mismatch(
     expected_digest = reference_detection_digest(records, edges)
 
     runs: List[Tuple[str, Flags, Optional[str]]] = []
-    flags, state = stream_tier(records, topology)
-    runs.append(("det-streaming", flags, state))
     for batching_name, cuts in _batchings(len(records), stream.boundaries):
         flags, state = column_tier(records, cuts, topology)
         runs.append((f"det-columnar[{batching_name}]", flags, state))
@@ -496,10 +471,10 @@ def _first_detection_mismatch(
 
 def _detection_shrink_predicate(
     topology: Optional[AsRelationships],
-    stream_tier: StreamDetectionTier,
     column_tier: ColumnDetectionTier,
 ) -> Callable[[List], bool]:
-    """Does any detection tier disagree with the oracle on this list?
+    """Does any detection batching disagree with the oracle on this
+    list?
 
     As in :func:`_shrink_predicate`, the shrunk stream is re-checked at
     every possible single batch cut so cross-batch detection bugs keep
@@ -510,9 +485,7 @@ def _detection_shrink_predicate(
         cuts = tuple(range(1, len(subset)))
         probe = FuzzStream("shrink", 0, list(subset), list(cuts))
         return (
-            _first_detection_mismatch(
-                probe, topology, stream_tier, column_tier
-            )
+            _first_detection_mismatch(probe, topology, column_tier)
             is not None
         )
 
@@ -522,35 +495,30 @@ def _detection_shrink_predicate(
 def run_detection_differential(
     streams: Iterable[FuzzStream],
     topology: Optional[AsRelationships] = None,
-    stream_tier: StreamDetectionTier = streaming_detection,
     column_tier: ColumnDetectionTier = columnar_detection,
     shrink: bool = True,
     stop_on_first: bool = False,
 ) -> DifferentialReport:
     """The detection analogue of :func:`run_differential`.
 
-    Pipes every stream through :class:`~repro.analysis.detection.StreamDetector`,
+    Pipes every stream through
     :class:`~repro.analysis.detection.ColumnDetector` (at several batch
-    cuts, one detector carrying state across batches), and the
+    cuts, one detector carrying state across batches) and the
     dependency-free :func:`~repro.verify.reference.reference_detect`
     oracle, and asserts identical per-record flag bitmasks, per-flag
-    counts, detection digests, and (between the stateful tiers) carried
-    state digests.  Mismatches are ddmin-minimized exactly like the
-    classifier differential.
+    counts and detection digests, and that every cut run carries the
+    one-batch run's state digest.  Mismatches are ddmin-minimized
+    exactly like the classifier differential.
     """
     report = DifferentialReport()
     for stream in streams:
         report.streams += 1
         report.records += len(stream.records)
-        found = _first_detection_mismatch(
-            stream, topology, stream_tier, column_tier
-        )
+        found = _first_detection_mismatch(stream, topology, column_tier)
         if found is None:
             continue
         if shrink:
-            predicate = _detection_shrink_predicate(
-                topology, stream_tier, column_tier
-            )
+            predicate = _detection_shrink_predicate(topology, column_tier)
             if predicate(stream.records):
                 found.shrunk = shrink_stream(stream.records, predicate)
         report.mismatches.append(found)

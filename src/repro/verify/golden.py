@@ -50,7 +50,7 @@ from ..sim.scenarios import (
     run_exchange_day_records,
     simulate,
 )
-from .differential import stream_digest, streaming_labels
+from .differential import columnar_labels, stream_digest
 from .reference import reference_counts, reference_interarrival_histogram
 from .streams import (
     ADVERSARIAL_GENERATORS,
@@ -137,7 +137,7 @@ def _scenario_case(kind: str) -> Dict:
 
 
 def _stream_case(stream: FuzzStream) -> Dict:
-    labels, state = streaming_labels(stream.records)
+    labels, state = columnar_labels(stream.records)
     return {
         "name": stream.name,
         "seed": stream.seed,
@@ -178,7 +178,7 @@ def build_golden() -> Tuple[Dict, bytes]:
     """The golden payload and trace bytes, fully determined by code."""
     trace = _trace_bytes()
     decoded = list(mrt.read_records(io.BytesIO(trace)))
-    labels, state = streaming_labels(decoded)
+    labels, state = columnar_labels(decoded)
     campaign = run_campaign(CAMPAIGN)
     topology = detection_topology()
     payload = {

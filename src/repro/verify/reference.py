@@ -378,7 +378,8 @@ def reference_detection_digest(records: Iterable, edges=None) -> str:
     """SHA-256 over the detected stream — one line per record with its
     flag bitmask, rendered exactly like
     :func:`repro.analysis.detection.detection_digest` (without
-    importing it), so all three detection tiers share one digest coin.
+    importing it), so the detector and this oracle share one digest
+    coin.
     """
     records = list(records)
     flags = reference_detect(records, edges)

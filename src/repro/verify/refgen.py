@@ -4,15 +4,15 @@ When the generator's materialization loop went vectorized
 (``TraceGenerator._emit_wwdup_columns``), the contract was that every
 ``random.Random`` draw happens in the *same order* as the scalar
 per-record loop, so digests never move.  This module preserves the
-original tier verbatim so that contract stays checkable forever —
+original scalar code paths so that contract stays checkable forever —
 the same role :class:`repro.sim.refengine.ReferenceEngine` plays for
 the calendar-queue simulator:
 
 - :class:`ReferenceTraceGenerator` overrides ``_sample_bin`` with the
   pre-optimization O(bins) weight-list rebuild and linear scan
-  (copied verbatim from the pre-vectorization tree), and forces
-  ``vectorize=False`` so WWDup runs the scalar per-pair emission loop
-  appending one record at a time.
+  (copied verbatim from the pre-vectorization tree), and overrides
+  ``_emit_wwdup_columns`` so WWDup runs the scalar per-pair emission
+  loop, appending one record at a time.
 - :func:`reference_twin` clones an existing generator's configuration
   into a reference instance with fresh state, so differential runs
   start from identical ground.
@@ -26,7 +26,7 @@ bar in ``benchmarks/run_bench.py`` both rest on it.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import List, Optional, Tuple
 
 from ..core.taxonomy import UpdateCategory
 from ..workloads.generator import DayPlan, TraceGenerator
@@ -66,19 +66,22 @@ class ReferenceTraceGenerator(TraceGenerator):
                 return i
         return len(weights) - 1
 
-    def _materialize_day(
+    def _emit_wwdup_columns(
         self,
-        day: int,
+        rng: random.Random,
+        plan: DayPlan,
+        allocation: List[Tuple[tuple, int]],
         pair_fraction: float,
-        plan: Optional[DayPlan],
-        categories: Optional[Sequence[UpdateCategory]],
         sink,
-        vectorize: bool = True,
     ) -> None:
-        del vectorize  # the reference tier is scalar by definition
-        super()._materialize_day(
-            day, pair_fraction, plan, categories, sink, vectorize=False
-        )
+        """The original WWDup emission: the same per-pair loop every
+        other category runs, one record at a time."""
+        for pair, count in allocation:
+            if pair_fraction < 1.0 and rng.random() > pair_fraction:
+                continue
+            self._emit_pair_day(
+                rng, plan, UpdateCategory.WWDUP, pair, count, sink
+            )
 
 
 def reference_twin(generator: TraceGenerator) -> ReferenceTraceGenerator:

@@ -21,7 +21,8 @@ whose per-update mechanisms mirror the Tier-A simulation:
    across the day's 144 ten-minute bins proportionally to the diurnal
    intensity and incident multipliers.  No records are materialized.
 
-3. **Materialization** (:meth:`TraceGenerator.day_records`): when an
+3. **Materialization** (:meth:`TraceGenerator.day_columns`, or
+   :meth:`~TraceGenerator.day_records` for record objects): when an
    analysis needs actual records (Figures 6, 7, 8; Table-1-style
    runs), active pairs are subsampled by ``pair_fraction`` — keeping
    each pair's episode structure intact, which preserves distribution
@@ -300,43 +301,17 @@ class _PairState:
         self.med: Optional[int] = None
 
 
-class _RecordSink:
-    """Materialization sink building :class:`UpdateRecord` objects
-    (the streaming tier's representation)."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: List[UpdateRecord] = []
-
-    def announce(self, time, peer_id, asn, prefix, attrs) -> None:
-        self.records.append(
-            UpdateRecord(
-                time, peer_id, asn, prefix, UpdateKind.ANNOUNCE, attrs
-            )
-        )
-
-    def withdraw(self, time, peer_id, asn, prefix) -> None:
-        self.records.append(
-            UpdateRecord(time, peer_id, asn, prefix, UpdateKind.WITHDRAW)
-        )
-
-    def finish(self) -> List[UpdateRecord]:
-        self.records.sort(key=lambda r: r.time)
-        return self.records
-
-
 class _ColumnSink:
-    """Materialization sink appending primitive columns — no
+    """The materialization sink: appends primitive columns, so no
     per-record dataclasses are ever constructed.
 
     Two ingest paths share one emission stream: scalar ``announce`` /
     ``withdraw`` calls append to Python lists, while the vectorized
-    WWDup tier hands over whole :data:`RECORD_DTYPE` segments via
+    WWDup emission hands over whole :data:`RECORD_DTYPE` segments via
     :meth:`withdraw_block`.  Because WWDup is the *last* planned
     category, every scalar event precedes every segment in emission
     order, so ``finish``'s stable time sort resolves equal timestamps
-    exactly as the all-scalar stream did.
+    exactly as sorting the one-record-at-a-time stream would.
     """
 
     __slots__ = ("times", "peer_ids", "asns", "nets", "plens", "kinds",
@@ -391,7 +366,7 @@ class _ColumnSink:
         scalar["plen"] = self.plens
         scalar["kind"] = self.kinds
         scalar["attr_id"] = self.attr_ids
-        # Stable time sort matches the record tier's list.sort().
+        # Stable time sort: equal timestamps keep emission order.
         return RecordColumns.from_segments(
             [scalar, *self.segments], self.table
         )
@@ -644,9 +619,8 @@ class TraceGenerator:
         ``categories`` restricts materialization (e.g. the fine-grained
         figures never need the WWDup flood).
         """
-        sink = _RecordSink()
-        self._materialize_day(day, pair_fraction, plan, categories, sink)
-        return sink.finish()
+        columns = self.day_columns(day, pair_fraction, plan, categories)
+        return columns.to_records()
 
     def day_columns(
         self,
@@ -656,12 +630,11 @@ class TraceGenerator:
         categories: Optional[Sequence[UpdateCategory]] = None,
         attrs: Optional[AttributeTable] = None,
     ) -> RecordColumns:
-        """Columnar :meth:`day_records`: the identical record stream
-        (same RNG draws, same ordering) materialized directly into a
-        :class:`~repro.core.columns.RecordColumns` batch — no
-        per-record dataclasses are built.  Pass a shared ``attrs``
-        table to keep attribute ids consistent across a campaign's
-        days."""
+        """One day's records (see :meth:`day_records`) materialized
+        directly into a :class:`~repro.core.columns.RecordColumns`
+        batch — no per-record dataclasses are built.  Pass a shared
+        ``attrs`` table to keep attribute ids consistent across a
+        campaign's days."""
         sink = _ColumnSink(attrs if attrs is not None else AttributeTable())
         self._materialize_day(day, pair_fraction, plan, categories, sink)
         return sink.finish()
@@ -672,18 +645,16 @@ class TraceGenerator:
         pair_fraction: float,
         plan: Optional[DayPlan],
         categories: Optional[Sequence[UpdateCategory]],
-        sink,
-        vectorize: bool = True,
+        sink: _ColumnSink,
     ) -> None:
         """Drive ``sink`` through one day's emission stream.
 
         WWDup — the flood category, ~95% of a full day's records — is
-        routed through the vectorized tier when the sink can accept
-        whole segments; every other category (and any plain sink) runs
-        the scalar reference loop.  Both paths consume the *same*
-        ``rng`` draws in the *same* order, so the split is invisible in
-        the output.  ``vectorize=False`` forces the all-scalar path
-        (the parity tests diff the two).
+        emitted in whole segments by :meth:`_emit_wwdup_columns`;
+        every other category runs the per-pair loop of
+        :meth:`_emit_pair_day`.  Both consume the *same* ``rng`` draws
+        in the *same* order as running the per-pair loop for WWDup
+        too, which :mod:`repro.verify.refgen` does to prove it.
         """
         plan = plan or self.plan_day(day)
         rng = self._day_rng(day, salt=1)
@@ -691,11 +662,7 @@ class TraceGenerator:
         for category in PLANNED_CATEGORIES:
             if category not in wanted:
                 continue
-            if (
-                vectorize
-                and category is UpdateCategory.WWDUP
-                and isinstance(sink, _ColumnSink)
-            ):
+            if category is UpdateCategory.WWDUP:
                 self._emit_wwdup_columns(
                     rng, plan, plan.participation[category],
                     pair_fraction, sink,
@@ -906,7 +873,7 @@ class TraceGenerator:
         plan: DayPlan,
         allocation: List[Tuple[Pair, int]],
         pair_fraction: float,
-        sink: "_ColumnSink",
+        sink: _ColumnSink,
     ) -> None:
         """WWDup, vectorized: scalar draw-faithful episode *planning*
         followed by one batched timestamp expansion.

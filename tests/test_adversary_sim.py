@@ -4,16 +4,13 @@ Every attack kind must run on both single engines with identical
 digests, survive the parallel driver at 1 and 2 workers with the same
 digest (worker-count invariance — attack pulses are partition-local by
 construction), produce its signature detection flag, and detect
-bit-identically across the streaming tier, the columnar tier, and the
+bit-identically in one batch, across a batch cut, and in the
 dependency-free verify oracle.
 """
 
 import pytest
 
-from repro.analysis.detection import (
-    detect_records,
-    detect_records_columnar,
-)
+from repro.analysis.detection import detect_records
 from repro.sim.adversary import (
     ATTACK_KINDS,
     AdversaryConfig,
@@ -32,6 +29,7 @@ from repro.sim.scenarios import (
     run_exchange_day_records,
     simulate,
 )
+from repro.verify.differential import columnar_detection
 from repro.verify.reference import reference_detect
 
 SIGNATURES = {
@@ -158,17 +156,14 @@ class TestScenarios:
         config = adversary_day_config(kind, smoke=True)
         _, _, records = run_exchange_day_records(Engine, config)
         topology = scenario_relationships(config)
-        streamed = detect_records(records, topology)
-        columnar = detect_records_columnar(
-            records, topology, boundaries=(len(records) // 3,)
+        whole = detect_records(records, topology)
+        cut_flags, cut_state = columnar_detection(
+            records, (len(records) // 3,), topology
         )
         oracle = reference_detect(records, topology.edges())
-        assert streamed.flags == oracle
-        assert columnar.flags == oracle
-        assert (
-            streamed.detector.state_digest()
-            == columnar.detector.state_digest()
-        )
+        assert whole.flags == oracle
+        assert cut_flags == oracle
+        assert whole.detector.state_digest() == cut_state
 
 
 @pytest.mark.slow

@@ -1,16 +1,17 @@
-"""Unit and property tests for the taxonomy and streaming classifier.
+"""Unit and property tests for the taxonomy and the classifier.
 
 These test the paper's central definitions, so they are deliberately
 exhaustive about sequence semantics.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import StreamClassifier, classify
+from repro.core import classifier as classifier_module
+from repro.core.classifier import classify
+from repro.core.columns import ColumnClassifier
 from repro.core.taxonomy import (
     FIGURE2_CATEGORIES,
     INSTABILITY_CATEGORIES,
@@ -131,24 +132,74 @@ class TestStateIsolation:
         ]
 
     def test_state_persists_across_classify_calls(self):
-        clf = StreamClassifier()
+        clf = ColumnClassifier()
         list(classify([A(0)], clf))
         (second,) = list(classify([A(1)], clf))
         assert second.category is UpdateCategory.AADUP
 
     def test_reset_clears_state(self):
-        clf = StreamClassifier()
-        clf.feed(A(0))
+        clf = ColumnClassifier()
+        list(classify([A(0)], clf))
         clf.reset()
-        assert clf.feed(A(1)).category is UpdateCategory.NEW_ANNOUNCE
+        (second,) = list(classify([A(1)], clf))
+        assert second.category is UpdateCategory.NEW_ANNOUNCE
 
     def test_reachability_introspection(self):
-        clf = StreamClassifier()
-        clf.feed(A(0, peer=5))
+        clf = ColumnClassifier()
+        list(classify([A(0, peer=5)], clf))
         assert clf.is_reachable(5, PFX)
-        clf.feed(W(1, peer=5))
+        list(classify([W(1, peer=5)], clf))
         assert not clf.is_reachable(5, PFX)
         assert clf.tracked_routes() == 1
+
+
+class TestChunkedClassify:
+    """``classify`` reads its input in fixed-size chunks and carries
+    route state from one chunk to the next."""
+
+    def test_labels_across_chunk_boundaries_match_the_oracle(
+        self, monkeypatch
+    ):
+        from repro.verify.reference import reference_classify
+
+        monkeypatch.setattr(classifier_module, "CHUNK_RECORDS", 4)
+        other = P("10.0.0.0/8")
+        records = [
+            A(0), A(1, prefix=other), A(2, peer=2), A(3, ATTRS_B),
+            # chunk 2: re-announce, withdraw and re-announce routes
+            # whose state was set up in chunk 1
+            A(4, ATTRS_A_POLICY), W(5, prefix=other), W(6, peer=2),
+            A(7, prefix=other),
+            # chunk 3
+            W(8), A(9, ATTRS_B), W(10, prefix=other), W(11, prefix=other),
+            # a short last chunk
+            A(12, peer=2),
+        ]
+        assert len(records) > 2 * classifier_module.CHUNK_RECORDS
+        got = [
+            (u.category.name, u.policy_change) for u in classify(records)
+        ]
+        assert got == reference_classify(records)
+        assert [u.record for u in classify(records)] == records
+
+    def test_first_update_after_at_most_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(classifier_module, "CHUNK_RECORDS", 8)
+        pulled = []
+
+        def unbounded():
+            t = 0
+            while True:
+                pulled.append(t)
+                yield A(float(t)) if t % 2 == 0 else W(float(t))
+                t += 1
+
+        updates = classify(unbounded())
+        first = next(updates)
+        assert first.category is UpdateCategory.NEW_ANNOUNCE
+        assert len(pulled) <= classifier_module.CHUNK_RECORDS
+        second = next(updates)
+        assert second.category is UpdateCategory.PLAIN_WITHDRAW
+        assert len(pulled) <= classifier_module.CHUNK_RECORDS
 
 
 class TestTaxonomySets:

@@ -1,11 +1,11 @@
 """Columnar tier equivalence tests.
 
-The streaming classifier is the reference implementation of the
-paper's taxonomy; the columnar tier must reproduce it bit for bit.
-These tests assert record-for-record agreement on randomized mixed
-streams (including cross-batch state carryover), lossless conversion,
-archive roundtrips, and equality of every columnar analysis entry
-point with its streaming counterpart.
+The dependency-free oracle (:mod:`repro.verify.reference`) is the
+reference implementation of the paper's taxonomy; the columnar tier
+must reproduce it bit for bit.  These tests assert record-for-record
+agreement on randomized mixed streams (including cross-batch state
+carryover), lossless conversion, archive roundtrips, and equality of
+every columnar analysis entry point with its record-list counterpart.
 """
 
 import io
@@ -30,7 +30,7 @@ from repro.collector.mrt import (
     write_records,
 )
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import StreamClassifier, classify
+from repro.core.classifier import classify
 from repro.core.columns import (
     NO_ATTR,
     AttributeTable,
@@ -48,6 +48,7 @@ from repro.core.instability import (
 )
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
+from repro.verify.reference import reference_classify
 from repro.workloads.generator import TraceGenerator
 
 #: A small attribute vocabulary exercising every comparison outcome:
@@ -87,27 +88,33 @@ def random_stream(rng, n, n_peers=3, n_prefixes=5):
     return records
 
 
-def assert_matches_streaming(batches):
-    """Classify ``batches`` on both tiers (carrying state across
-    batches) and compare every record's category and policy flag."""
-    streaming = StreamClassifier()
+def assert_matches_reference(batches):
+    """Classify ``batches`` on the columnar tier (carrying state
+    across batches) and compare every record's category and policy
+    flag with the oracle's labels for the concatenated stream."""
+    expected = reference_classify(
+        [record for batch in batches for record in batch]
+    )
     columnar = ColumnClassifier()
     table = AttributeTable()
+    got = []
     for batch in batches:
         columns = RecordColumns.from_records(batch, table)
         codes, policy = columnar.classify(columns)
-        expected = list(classify(batch, streaming))
-        assert len(expected) == len(codes)
-        for i, update in enumerate(expected):
-            assert codes[i] == update.category.value, (i, update)
-            assert policy[i] == update.policy_change, (i, update)
+        got.extend(
+            (category.name, bool(flag))
+            for category, flag in zip(decode_categories(codes), policy)
+        )
+    assert len(got) == len(expected)
+    for i, (exp, act) in enumerate(zip(expected, got)):
+        assert act == exp, i
 
 
 class TestClassifyEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_single_batch(self, seed):
         rng = random.Random(seed)
-        assert_matches_streaming([random_stream(rng, 600)])
+        assert_matches_reference([random_stream(rng, 600)])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_cross_batch_carryover(self, seed):
@@ -118,14 +125,14 @@ class TestClassifyEquivalence:
         batches = [
             random_stream(rng, rng.randrange(1, 250)) for _ in range(5)
         ]
-        assert_matches_streaming(batches)
+        assert_matches_reference(batches)
 
     def test_tiny_batches(self):
         """One-record batches force every comparison through the carry
         path."""
         rng = random.Random(42)
         stream = random_stream(rng, 60)
-        assert_matches_streaming([[r] for r in stream])
+        assert_matches_reference([[r] for r in stream])
 
     def test_empty_batch(self):
         codes, policy = classify_columns(RecordColumns.empty())
@@ -136,21 +143,23 @@ class TestClassifyEquivalence:
         generator = TraceGenerator(seed=5)
         records = generator.day_records(3, pair_fraction=0.02)
         assert len(records) > 100
-        assert_matches_streaming([records])
+        assert_matches_reference([records])
 
     def test_state_introspection_matches(self):
+        """A route is reachable iff its last record announced it; every
+        (peer, prefix) pair seen is tracked."""
         rng = random.Random(7)
         stream = random_stream(rng, 300)
-        streaming = StreamClassifier()
+        last_kind = {}
         for record in stream:
-            streaming.feed(record)
+            last_kind[(record.peer_id, record.prefix)] = record.kind
         columnar = ColumnClassifier()
         columnar.classify(RecordColumns.from_records(stream))
-        assert columnar.tracked_routes() == streaming.tracked_routes()
-        for record in stream:
-            assert columnar.is_reachable(
-                record.peer_id, record.prefix
-            ) == streaming.is_reachable(record.peer_id, record.prefix)
+        assert columnar.tracked_routes() == len(last_kind)
+        for (peer_id, prefix), kind in last_kind.items():
+            assert columnar.is_reachable(peer_id, prefix) == (
+                kind is UpdateKind.ANNOUNCE
+            )
 
 
 class TestConversions:

@@ -2,10 +2,10 @@
 
 Unit tests for each flag's semantics, the valley-free path machine,
 the sub-prefix foreign/deaggregation split, the stability counters and
-scores, and the bit-identity of the streaming and columnar detectors —
-including cross-batch carry and property-style seeded checks (valley-
-free paths are never flagged; MOAS detection is injection-order
-independent).
+scores, and the bit-identity of the columnar detector with the
+dependency-free oracle — including cross-batch carry and
+property-style seeded checks (valley-free paths are never flagged;
+MOAS detection is injection-order independent).
 """
 
 import random
@@ -22,9 +22,7 @@ from repro.analysis.detection import (
     VALLEY_VIOLATION,
     AsRelationships,
     ColumnDetector,
-    StreamDetector,
     detect_records,
-    detect_records_columnar,
     detection_digest,
     flag_names,
     path_flags,
@@ -33,6 +31,7 @@ from repro.analysis.detection import (
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.record import UpdateKind, UpdateRecord
 from repro.net.prefix import Prefix
+from repro.verify.differential import columnar_detection
 from repro.verify.reference import reference_detect
 
 PEER_A = (0xC0000001, 64)
@@ -60,7 +59,7 @@ def wd(time, peer, prefix):
 
 
 def feed_all(records, topology=None):
-    """Flags from the streaming tier (the unit under test here)."""
+    """Flags from :func:`detect_records` (the unit under test here)."""
     return detect_records(records, topology).flags
 
 
@@ -250,27 +249,27 @@ class TestTierEquivalence:
         ]
         return rel_records
 
-    def test_stream_equals_columnar_with_batch_cuts(self):
+    def test_batch_cuts_equal_one_batch(self):
         records = self.records()
         topo = topology()
-        streamed = detect_records(records, topo)
+        whole = detect_records(records, topo)
         for boundaries in ((), (1,), (3,), (1, 2, 3, 4, 5)):
-            columnar = detect_records_columnar(records, topo, boundaries)
-            assert columnar.flags == streamed.flags, boundaries
-            assert (
-                columnar.detector.state_digest()
-                == streamed.detector.state_digest()
-            )
-            assert columnar.counts == streamed.counts
+            flags, state = columnar_detection(records, boundaries, topo)
+            assert flags == whole.flags, boundaries
+            assert state == whole.detector.state_digest()
+            counts = {
+                name: sum(1 for f in flags if f & bit)
+                for bit, name in FLAGS
+            }
+            assert counts == whole.counts
 
     def test_both_tiers_match_the_reference_oracle(self):
+        """One batch and a cut run both reproduce the oracle."""
         records = self.records()
         topo = topology()
         expected = reference_detect(records, topo.edges())
         assert detect_records(records, topo).flags == expected
-        assert (
-            detect_records_columnar(records, topo, (2,)).flags == expected
-        )
+        assert columnar_detection(records, (2,), topo)[0] == expected
 
     def test_detection_digest_requires_alignment(self):
         records = self.records()
@@ -278,12 +277,13 @@ class TestTierEquivalence:
             detection_digest(records, [0])
 
     def test_column_detector_attr_cache_survives_table_growth(self):
-        # Same detector, two batches, second batch interns new paths.
+        # Same detector, three batches over one shared table; later
+        # batches intern new paths.
         topo = topology()
         records = self.records()
-        streamed = detect_records(records, topo)
-        columnar = detect_records_columnar(records, topo, (2, 4))
-        assert columnar.flags == streamed.flags
+        flags, _ = columnar_detection(records, (2, 4), topo)
+        assert flags == detect_records(records, topo).flags
+        assert flags == reference_detect(records, topo.edges())
 
     def test_all_withdraw_first_batch(self):
         # First batch carries no announcements, so the attribute table
@@ -293,20 +293,19 @@ class TestTierEquivalence:
             wd(0.5, PEER_B, P24),
             ann(1.0, PEER_A, P24, (64, 7)),
         ]
-        streamed = detect_records(records)
-        columnar = detect_records_columnar(records, None, (2,))
-        assert columnar.flags == streamed.flags
-        assert (
-            columnar.detector.state_digest()
-            == streamed.detector.state_digest()
-        )
+        whole = detect_records(records)
+        flags, state = columnar_detection(records, (2,))
+        assert flags == whole.flags == reference_detect(records)
+        assert state == whole.detector.state_digest()
 
     def test_empty_stream(self):
         assert detect_records([]).flags == []
-        assert detect_records_columnar([]).flags == []
-        detector = ColumnDetector()
+        flags, state = columnar_detection([])
+        assert flags == []
+        assert state == ColumnDetector().state_digest()
         assert (
-            detector.state_digest() == StreamDetector().state_digest()
+            detect_records([]).detector.state_digest()
+            == ColumnDetector().state_digest()
         )
 
 

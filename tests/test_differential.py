@@ -10,8 +10,10 @@ to read (the acceptance bar is ≤ 10 records).
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis.detection import ColumnDetector
 from repro.core.columns import (
     AttributeTable,
     CATEGORY_OF_CODE,
@@ -23,12 +25,10 @@ from repro.verify.differential import (
     run_differential,
     shrink_stream,
     stream_digest,
-    streaming_labels,
 )
 from repro.verify.reference import reference_classify
 from repro.verify.streams import (
     ADVERSARIAL_GENERATORS,
-    FuzzStream,
     fuzz_stream,
 )
 
@@ -74,22 +74,23 @@ class TestRealTiersAgree:
     @pytest.mark.fuzz
     def test_thousand_stream_campaign(self):
         # The acceptance bar: >= 1000 seeded streams, adversarial
-        # generators included, all three tiers bit-identical.
+        # generators included, every batching bit-identical to the
+        # oracle.
         report = run_differential(make_streams(840, 40), shrink=False)
         assert report.streams == 1000
         assert_ok(report)
 
     def test_state_digests_agree_across_tiers(self):
+        # One batch and the stream's own cuts carry the same state.
         stream = fuzz_stream(123)
-        _, stream_state = streaming_labels(stream.records)
-        _, column_state = columnar_labels(
-            stream.records, stream.boundaries
-        )
-        assert stream_state == column_state
+        assert stream.boundaries
+        _, whole_state = columnar_labels(stream.records)
+        _, cut_state = columnar_labels(stream.records, stream.boundaries)
+        assert whole_state == cut_state
 
     def test_digest_matches_reference(self):
         stream = fuzz_stream(7)
-        labels, _ = streaming_labels(stream.records)
+        labels, _ = columnar_labels(stream.records)
         expected = reference_classify(stream.records)
         assert labels == expected
         assert stream_digest(stream.records, labels) == stream_digest(
@@ -97,71 +98,59 @@ class TestRealTiersAgree:
         )
 
 
-def broken_forwarding_tier(records):
-    """A streaming tier with a deliberate off-by-one: the forwarding
-    comparison slices one element instead of two, so it compares next
-    hops only and ignores ASPATH changes."""
-    reachable, ever, last = {}, {}, {}
-    labels = []
-    for r in records:
-        key = (r.peer_id, r.prefix.network, r.prefix.length)
-        if r.is_announce:
-            a = r.attributes
-            current = (a.next_hop, tuple(a.as_path), a.med, a.local_pref,
-                       tuple(sorted(a.communities)))
-            if not ever.get(key):
-                labels.append(("NEW_ANNOUNCE", False))
-            else:
-                previous = last[key]
-                same_fwd = current[0:1] == previous[0:1]  # the bug
-                if reachable.get(key):
-                    if same_fwd:
-                        labels.append(("AADUP", current != previous))
-                    else:
-                        labels.append(("AADIFF", False))
-                else:
-                    labels.append(
-                        ("WADUP" if same_fwd else "WADIFF", False)
-                    )
-            reachable[key] = True
-            ever[key] = True
-            last[key] = current
-        else:
-            labels.append(
-                ("PLAIN_WITHDRAW", False)
-                if reachable.get(key)
-                else ("WWDUP", False)
-            )
-            reachable[key] = False
-    return labels, None
-
-
-def broken_carry_tier(records, boundaries=()):
-    """A columnar tier that forgets cross-batch state: every batch is
-    classified by a fresh classifier."""
+def _broken_column_labels(records, boundaries, table, carry=True):
+    """``columnar_labels`` with an injectable table and carry bug."""
     cuts = sorted({b for b in boundaries if 0 < b < len(records)})
     edges = [0, *cuts, len(records)]
-    table = AttributeTable()
     labels = []
-    classifier = None
+    classifier = ColumnClassifier()
     for lo, hi in zip(edges, edges[1:]):
-        classifier = ColumnClassifier()  # the bug: state reset per batch
+        if not carry:
+            classifier = ColumnClassifier()  # state reset per batch
         batch = RecordColumns.from_records(records[lo:hi], attrs=table)
         codes, policy = classifier.classify(batch)
         labels.extend(
             (CATEGORY_OF_CODE[int(code)].name, bool(flag))
             for code, flag in zip(codes, policy)
         )
-    return labels, classifier.state_digest() if classifier else None
+    return labels, classifier.state_digest()
+
+
+class NextHopOnlyTable(AttributeTable):
+    """An intern table whose forwarding key drops the ASPATH: the
+    in-batch forwarding comparison sees next hops only."""
+
+    __slots__ = ()
+
+    @property
+    def fwd_ids(self):
+        return np.asarray(
+            [self[i].next_hop for i in range(len(self))], dtype=np.int64
+        )
+
+
+def broken_forwarding_tier(records, boundaries=()):
+    """A columnar tier with a deliberate off-by-one in the forwarding
+    tuple: it compares next hops only and ignores ASPATH changes."""
+    return _broken_column_labels(records, boundaries, NextHopOnlyTable())
+
+
+def broken_carry_tier(records, boundaries=()):
+    """A columnar tier that forgets cross-batch state: every batch is
+    classified by a fresh classifier."""
+    return _broken_column_labels(
+        records, boundaries, AttributeTable(), carry=False
+    )
 
 
 class TestBrokenTiersAreCaught:
     def test_off_by_one_caught_with_tiny_counterexample(self):
         report = run_differential(
-            make_streams(20, 3), stream_tier=broken_forwarding_tier
+            make_streams(20, 3), column_tier=broken_forwarding_tier
         )
         assert not report.ok
         found = report.mismatches[0]
+        assert found.tier.startswith("columnar")
         assert found.shrunk is not None
         assert len(found.shrunk) <= 10  # acceptance bar
         # The shrunk stream still distinguishes the bug on its own.
@@ -296,22 +285,36 @@ class TestDetectionTiersAgree:
         assert all(count > 0 for count in totals.values()), totals
 
 
-def broken_moas_tier(records, topology=None):
-    """A streaming detection tier that forgets to retire a peer's old
-    origin on re-announcement — origins accumulate and MOAS over-fires."""
-    from repro.analysis.detection import StreamDetector
-    from repro.core.classifier import StreamClassifier
+class ForgetfulOrigins(dict):
+    """A route → origin map whose lookups always miss."""
 
-    detector = StreamDetector(topology)
-    classifier = StreamClassifier()
+    def get(self, key, default=None):
+        return default
+
+
+class LeakyMultisetDetector(ColumnDetector):
+    """A columnar detector that never retires a peer's old origin on
+    re-announcement — origins accumulate and MOAS over-fires."""
+
+    __slots__ = ()
+
+    def __init__(self, topology=None):
+        super().__init__(topology)
+        self._route_origin = ForgetfulOrigins()  # the bug
+
+
+def broken_moas_tier(records, boundaries=(), topology=None):
+    """The columnar detection tier with a LeakyMultisetDetector."""
+    cuts = sorted({b for b in boundaries if 0 < b < len(records)})
+    edges = [0, *cuts, len(records)]
+    table = AttributeTable()
+    classifier = ColumnClassifier()
+    detector = LeakyMultisetDetector(topology)
     flags = []
-    for record in records:
-        category = classifier.feed(record).category
-        if record.is_announce:
-            key = (record.peer_id, record.prefix.network,
-                   record.prefix.length)
-            detector._route_origin.pop(key, None)  # the bug
-        flags.append(detector.feed(record, category))
+    for lo, hi in zip(edges, edges[1:]):
+        batch = RecordColumns.from_records(records[lo:hi], attrs=table)
+        codes, _ = classifier.classify(batch)
+        flags.extend(detector.detect(batch, codes).tolist())
     return flags, None
 
 
@@ -323,11 +326,11 @@ class TestBrokenDetectionTiersAreCaught:
         report = run_detection_differential(
             make_detection_streams(10, 2),
             detection_topology(),
-            stream_tier=broken_moas_tier,
+            column_tier=broken_moas_tier,
         )
         assert not report.ok
         found = report.mismatches[0]
-        assert found.tier == "det-streaming"
+        assert found.tier.startswith("det-columnar")
         assert found.shrunk is not None
         assert len(found.shrunk) <= 10  # same acceptance bar
 

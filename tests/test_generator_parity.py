@@ -5,8 +5,8 @@ and the cached-bisect bin sampler must consume every ``random.Random``
 draw in exactly the order the original scalar loop did, so three
 materializations of any day stay bit-identical forever:
 
-- ``day_records`` (scalar, per-record dataclasses),
 - vectorized ``day_columns`` (NumPy slab emission),
+- ``day_records`` (the same day as per-record dataclasses),
 - the preserved pre-vectorization tier
   (:mod:`repro.verify.refgen`, the reference oracle the
   generation-throughput bar in ``benchmarks/run_bench.py`` is also
@@ -67,7 +67,7 @@ def columns_digest(columns) -> str:
 
 
 def assert_three_way_parity(make_generator, day: int, pair_fraction: float):
-    """day_records == vectorized day_columns == pre-PR reference, as
+    """day_records == vectorized day_columns == scalar reference, as
     records and as column-byte digests."""
     records = make_generator().day_records(day, pair_fraction=pair_fraction)
     columns = make_generator().day_columns(day, pair_fraction=pair_fraction)
@@ -145,11 +145,12 @@ class TestDayParity:
 
     def test_reference_is_forced_scalar(self):
         """The oracle must never silently inherit the vectorized path
-        (that would make the differential vacuous)."""
+        (that would make the differential vacuous): it overrides both
+        the WWDup emission and the bin sampler."""
         generator = reference_twin(small_generator(1))
         assert isinstance(generator, ReferenceTraceGenerator)
-        assert type(generator)._materialize_day is not (
-            TraceGenerator._materialize_day
+        assert type(generator)._emit_wwdup_columns is not (
+            TraceGenerator._emit_wwdup_columns
         )
         assert type(generator)._sample_bin is not TraceGenerator._sample_bin
 

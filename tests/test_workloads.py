@@ -1,12 +1,11 @@
 """Tests for calibration, the diurnal model, incidents, and the
 statistical trace generator."""
 
-import math
-
 import pytest
 
 from repro.collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR
-from repro.core.classifier import StreamClassifier, classify
+from repro.core.classifier import classify
+from repro.core.columns import ColumnClassifier
 from repro.core.instability import CategoryCounts
 from repro.core.taxonomy import UpdateCategory
 from repro.workloads.calibration import FIGURE2_CATEGORY_MIX, PAPER
@@ -17,7 +16,6 @@ from repro.workloads.diurnal import (
     is_weekend,
 )
 from repro.workloads.generator import (
-    GeneratorTargets,
     PeerPopulation,
     TraceGenerator,
 )
@@ -246,7 +244,7 @@ class TestMaterialization:
         """After a warm-up day, classified counts should be close to
         the planned per-category totals (scaled by pair_fraction=1)."""
         gen = TraceGenerator(population=small_population, seed=9)
-        clf = StreamClassifier()
+        clf = ColumnClassifier()
         # Warm-up: state (generator's and classifier's) converges.
         for _ in classify(gen.day_records(0, pair_fraction=1.0), clf):
             pass
@@ -283,10 +281,9 @@ class TestMaterialization:
             interarrival_times,
             timer_bin_mass,
         )
-        from repro.core.classifier import StreamClassifier, classify
 
         gen = TraceGenerator(population=small_population, seed=3)
-        clf = StreamClassifier()
+        clf = ColumnClassifier()
         updates = []
         for day in range(3):
             updates.extend(
