@@ -16,11 +16,11 @@ Run:  python examples/periodicity_mechanisms.py
 from repro.analysis.interarrival import (
     bin_label,
     histogram_proportions,
-    interarrival_times,
+    interarrival_columns,
     timer_bin_mass,
 )
 from repro.collector.log import MemoryLog
-from repro.core.classifier import classify
+from repro.core.columns import RecordColumns
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.igp import IgpBgpRedistribution, IgpTable
@@ -54,7 +54,7 @@ def csu_mechanism():
     server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
     connect(provider, server)
     engine.run_until(4 * 3600.0)
-    return interarrival_times(classify(sink.sorted_by_time()))
+    return interarrival_columns(RecordColumns.from_records(sink.records))
 
 
 def igp_mechanism():
@@ -67,7 +67,7 @@ def igp_mechanism():
     server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
     connect(router, server)
     engine.run_until(4 * 3600.0)
-    return interarrival_times(classify(sink.sorted_by_time()))
+    return interarrival_columns(RecordColumns.from_records(sink.records))
 
 
 def main() -> None:

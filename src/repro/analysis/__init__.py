@@ -27,7 +27,7 @@ from .interarrival import (
     bin_label,
     daily_boxes,
     histogram_proportions,
-    interarrival_times,
+    interarrival_columns,
     timer_bin_mass,
 )
 from .density import DensityCell, DensityMatrix, build_density_matrix
@@ -102,7 +102,7 @@ __all__ = [
     "bin_label",
     "daily_boxes",
     "histogram_proportions",
-    "interarrival_times",
+    "interarrival_columns",
     "timer_bin_mass",
     "DensityCell",
     "DensityMatrix",

@@ -7,18 +7,22 @@ cluster on the diagonal (no correlation between table share and update
 share), and no AS consistently dominates.
 
 :func:`contribution_points` builds the scatter; :func:`correlation`
-and :func:`consistent_dominators` compute the two checks.
+and :func:`consistent_dominators` compute the two checks.  Each day
+arrives as a classified ``(RecordColumns, codes)`` pair from the
+columnar tier; the per-peer tallies come from
+:func:`~repro.core.instability.counts_by_peer_columns`, whose oracle
+is :func:`repro.verify.reference.reference_counts_by_peer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.classifier import ClassifiedUpdate
-from ..core.instability import counts_by_peer
+from ..core.columns import RecordColumns
+from ..core.instability import counts_by_peer_columns
 from ..core.taxonomy import UpdateCategory
 
 __all__ = [
@@ -40,24 +44,18 @@ class ContributionPoint:
 
 
 def contribution_points(
-    daily_updates: Dict[int, Sequence[ClassifiedUpdate]],
+    daily: Dict[int, Tuple[RecordColumns, np.ndarray]],
     table_shares: Dict[int, float],
     category: UpdateCategory,
 ) -> List[ContributionPoint]:
     """Build Figure 6's scatter for one category.
 
-    ``daily_updates`` maps day → that day's classified updates — or,
-    on the columnar tier, day → ``(RecordColumns, codes)``;
+    ``daily`` maps day → that day's ``(RecordColumns, codes)``;
     ``table_shares`` maps peer ASN → share of the routing table.
     """
     points: List[ContributionPoint] = []
-    for day, updates in sorted(daily_updates.items()):
-        if isinstance(updates, tuple):
-            from ..core.instability import counts_by_peer_columns
-
-            by_peer = counts_by_peer_columns(*updates)
-        else:
-            by_peer = counts_by_peer(updates)
+    for day, (columns, codes) in sorted(daily.items()):
+        by_peer = counts_by_peer_columns(columns, codes)
         day_total = sum(
             counts[category] for counts in by_peer.values()
         )

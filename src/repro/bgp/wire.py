@@ -268,6 +268,8 @@ def _decode_as_path(value: bytes) -> AsPath:
             for i in range(offset, end, 2)
         )
         offset = end
+    if 0 in asns:
+        raise WireError("AS_PATH carries reserved AS number 0")
     return AsPath(asns)
 
 

@@ -10,7 +10,7 @@ from .record import (
     unique_prefixes,
 )
 from .mrt import MAGIC, MrtError, read_records, write_records
-from .log import CountingLog, FileLog, MemoryLog, open_log
+from .log import CountingLog, MemoryLog
 from .mrt_rfc import (
     SessionEvent,
     read_bgp4mp,
@@ -49,9 +49,7 @@ __all__ = [
     "read_records",
     "write_records",
     "CountingLog",
-    "FileLog",
     "MemoryLog",
-    "open_log",
     "SessionEvent",
     "read_bgp4mp",
     "read_state_changes",

@@ -1,30 +1,27 @@
-"""Update-log sinks and sources.
+"""Update-log sinks.
 
 A *sink* is anywhere the simulator's route servers write observed
-updates; a *source* replays them into analyses.  Three sinks are
-provided:
+updates.  Two sinks are provided:
 
 - :class:`MemoryLog` — in-process list, the default for tests and
   short simulations.
-- :class:`FileLog` — streaming MRT-flavoured archive on disk, for
-  long-horizon generated traces.
 - :class:`CountingLog` — keeps only aggregate counters (per peer, per
   kind), for simulations where record retention would dominate memory.
 
-All sinks implement ``append(record)`` / ``extend(records)``; sources
-are simply iterables of :class:`UpdateRecord`.
+Both implement ``append(record)`` / ``extend(records)``.  Archiving a
+stream to disk is the codecs' job: :func:`repro.collector.mrt.write_records`
+(the house format the golden trace pins) or
+:func:`repro.collector.mrt_rfc.write_bgp4mp` (RFC 6396).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List
 
-from .mrt import read_records, write_records
 from .record import UpdateKind, UpdateRecord
 
-__all__ = ["MemoryLog", "FileLog", "CountingLog", "open_log"]
+__all__ = ["MemoryLog", "CountingLog"]
 
 
 class MemoryLog:
@@ -50,94 +47,6 @@ class MemoryLog:
 
     def clear(self) -> None:
         self.records.clear()
-
-
-class FileLog:
-    """A disk-backed MRT-flavoured update log.
-
-    Use as a context manager for writing::
-
-        with FileLog(path).writer() as log:
-            log.append(record)
-
-    and iterate the instance to read back.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-
-    def writer(self) -> "_FileLogWriter":
-        return _FileLogWriter(self.path)
-
-    def __iter__(self) -> Iterator[UpdateRecord]:
-        with open(self.path, "rb") as stream:
-            yield from read_records(stream)
-
-    def read_all(self) -> List[UpdateRecord]:
-        return list(self)
-
-    def iter_column_batches(self, batch_size: int = 65536, attrs=None):
-        """Decode the archive into columnar
-        :class:`~repro.core.columns.RecordColumns` batches of up to
-        ``batch_size`` rows (no per-record objects)."""
-        from .mrt import read_column_batches
-
-        with open(self.path, "rb") as stream:
-            yield from read_column_batches(stream, batch_size, attrs)
-
-    def read_columns(self, attrs=None):
-        """The whole archive as one columnar batch."""
-        from ..core.columns import RecordColumns
-
-        return RecordColumns.concat(list(self.iter_column_batches(attrs=attrs)))
-
-    def sha256(self) -> str:
-        """Hex digest of the archive bytes (campaign shard manifests
-        record this so a resumed run can verify finished output)."""
-        import hashlib
-
-        digest = hashlib.sha256()
-        with open(self.path, "rb") as stream:
-            for chunk in iter(lambda: stream.read(1 << 20), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
-
-
-class _FileLogWriter:
-    """Streaming writer for :class:`FileLog` (context manager)."""
-
-    def __init__(self, path: Path) -> None:
-        self._path = path
-        self._stream = None
-        self.count = 0
-
-    def __enter__(self) -> "_FileLogWriter":
-        from .mrt import MAGIC
-
-        self._stream = open(self._path, "wb")
-        self._stream.write(MAGIC)
-        return self
-
-    def append(self, record: UpdateRecord) -> None:
-        from .mrt import write_record_body
-
-        write_record_body(self._stream, record)
-        self.count += 1
-
-    def extend(self, records: Iterable[UpdateRecord]) -> None:
-        for record in records:
-            self.append(record)
-
-    def extend_columns(self, columns) -> None:
-        """Serialize a whole :class:`RecordColumns` batch (the on-disk
-        bytes match record-at-a-time appends of the same stream)."""
-        from .mrt import write_column_bodies
-
-        self.count += write_column_bodies(self._stream, columns)
-
-    def __exit__(self, *exc_info) -> None:
-        self._stream.close()
-        self._stream = None
 
 
 class CountingLog:
@@ -177,9 +86,3 @@ class CountingLog:
             "withdraw": self.withdraws.get(asn, 0),
             "unique": self.unique_prefixes(asn),
         }
-
-
-def open_log(path: Optional[Union[str, Path]] = None):
-    """Convenience factory: a FileLog if ``path`` is given, else a
-    MemoryLog."""
-    return FileLog(path) if path is not None else MemoryLog()

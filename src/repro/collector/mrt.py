@@ -17,22 +17,16 @@ tools re-parsed real packets.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple
-
-import numpy as np
+from typing import BinaryIO, Iterable, Iterator
 
 from ..bgp.messages import UpdateMessage
 from ..bgp.wire import WireError, decode_message, encode_message
-from ..net.prefix import Prefix
 from .record import UpdateKind, UpdateRecord, flatten_update
 
 __all__ = [
     "MrtError",
     "write_records",
     "read_records",
-    "write_columns",
-    "write_column_bodies",
-    "read_column_batches",
     "MAGIC",
 ]
 
@@ -55,28 +49,6 @@ def _split_time(time: float) -> tuple:
     return seconds, microseconds
 
 
-def write_record_body(stream: BinaryIO, record: UpdateRecord) -> None:
-    """Serialize one record (header + BGP payload, no file magic)."""
-    if record.kind is UpdateKind.ANNOUNCE:
-        message = UpdateMessage(
-            announced=(record.prefix,), attributes=record.attributes
-        )
-    else:
-        message = UpdateMessage(withdrawn=(record.prefix,))
-    payload = encode_message(message)
-    seconds, microseconds = _split_time(record.time)
-    stream.write(
-        _RECORD_HEADER.pack(
-            seconds,
-            microseconds,
-            record.peer_asn,
-            record.peer_id,
-            len(payload),
-        )
-    )
-    stream.write(payload)
-
-
 def write_records(
     stream: BinaryIO, records: Iterable[UpdateRecord]
 ) -> int:
@@ -90,7 +62,24 @@ def write_records(
     stream.write(MAGIC)
     count = 0
     for record in records:
-        write_record_body(stream, record)
+        if record.kind is UpdateKind.ANNOUNCE:
+            message = UpdateMessage(
+                announced=(record.prefix,), attributes=record.attributes
+            )
+        else:
+            message = UpdateMessage(withdrawn=(record.prefix,))
+        payload = encode_message(message)
+        seconds, microseconds = _split_time(record.time)
+        stream.write(
+            _RECORD_HEADER.pack(
+                seconds,
+                microseconds,
+                record.peer_asn,
+                record.peer_id,
+                len(payload),
+            )
+        )
+        stream.write(payload)
         count += 1
     return count
 
@@ -124,133 +113,3 @@ def read_records(stream: BinaryIO) -> Iterator[UpdateRecord]:
         if len(records) != 1:
             raise MrtError("archive records must carry exactly one prefix")
         yield records[0]
-
-
-def write_column_bodies(stream: BinaryIO, columns) -> int:
-    """Serialize a :class:`~repro.core.columns.RecordColumns` batch
-    (headers + BGP payloads, no file magic); returns the row count.
-
-    The wire payload depends only on (prefix, attributes), so encoded
-    payloads are cached per distinct ``(net, plen, attr_id)`` — a flap
-    re-announcing the same bundle thousands of times encodes once.
-    """
-    from ..core.columns import NO_ATTR  # local: core.columns imports us
-
-    table = columns.attrs
-    data = columns.data
-    no_attr = int(NO_ATTR)
-    announce = int(UpdateKind.ANNOUNCE)
-    payloads: Dict[Tuple[int, int, int], bytes] = {}
-    pack = _RECORD_HEADER.pack
-    write = stream.write
-    for time, peer_id, peer_asn, net, plen, kind, attr_id in zip(
-        data["time"].tolist(),
-        data["peer_id"].tolist(),
-        data["peer_asn"].tolist(),
-        data["net"].tolist(),
-        data["plen"].tolist(),
-        data["kind"].tolist(),
-        data["attr_id"].tolist(),
-    ):
-        if kind != announce:
-            attr_id = no_attr
-        key = (net, plen, attr_id)
-        payload = payloads.get(key)
-        if payload is None:
-            prefix = Prefix(net, plen)
-            if kind == announce:
-                message = UpdateMessage(
-                    announced=(prefix,), attributes=table[attr_id]
-                )
-            else:
-                message = UpdateMessage(withdrawn=(prefix,))
-            payload = payloads[key] = encode_message(message)
-        seconds, microseconds = _split_time(time)
-        write(pack(seconds, microseconds, peer_asn, peer_id, len(payload)))
-        write(payload)
-    return len(data)
-
-
-def write_columns(stream: BinaryIO, columns) -> int:
-    """Columnar :func:`write_records`: serialize a whole batch.  The
-    on-disk format is identical — readers cannot tell which tier wrote
-    the archive."""
-    stream.write(MAGIC)
-    return write_column_bodies(stream, columns)
-
-
-def read_column_batches(
-    stream: BinaryIO,
-    batch_size: int = 65536,
-    attrs=None,
-) -> Iterator:
-    """Deserialize an archive into :class:`RecordColumns` batches of up
-    to ``batch_size`` rows — no per-record Python objects are built.
-
-    Pass a shared ``attrs`` :class:`AttributeTable` so every yielded
-    batch (and any other batches in the campaign) indexes one
-    vocabulary; by default the batches share a fresh table.
-    """
-    from ..core.columns import (
-        NO_ATTR,
-        RECORD_DTYPE,
-        AttributeTable,
-        RecordColumns,
-    )
-
-    table = attrs if attrs is not None else AttributeTable()
-    no_attr = int(NO_ATTR)
-    announce = int(UpdateKind.ANNOUNCE)
-    withdraw = int(UpdateKind.WITHDRAW)
-    magic = stream.read(len(MAGIC))
-    if magic != MAGIC:
-        raise MrtError(f"bad magic {magic!r}")
-    rows: List[tuple] = []
-    while True:
-        header = stream.read(_RECORD_HEADER.size)
-        if not header:
-            break
-        if len(header) != _RECORD_HEADER.size:
-            raise MrtError("truncated record header")
-        seconds, microseconds, peer_asn, peer_ip, length = (
-            _RECORD_HEADER.unpack(header)
-        )
-        payload = stream.read(length)
-        if len(payload) != length:
-            raise MrtError("truncated record payload")
-        try:
-            message, consumed = decode_message(payload)
-        except WireError as exc:
-            raise MrtError(f"bad BGP payload: {exc}") from exc
-        if consumed != length or not isinstance(message, UpdateMessage):
-            raise MrtError("record payload is not a single BGP UPDATE")
-        if len(message.withdrawn) + len(message.announced) != 1:
-            raise MrtError("archive records must carry exactly one prefix")
-        time = seconds + microseconds / 1_000_000
-        if message.announced:
-            prefix = message.announced[0]
-            kind = announce
-            attr_id = table.intern(message.attributes)
-        else:
-            prefix = message.withdrawn[0]
-            kind = withdraw
-            attr_id = no_attr
-        rows.append(
-            (
-                time, peer_ip, peer_asn,
-                prefix.network, prefix.length, kind, attr_id,
-            )
-        )
-        if len(rows) >= batch_size:
-            yield RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
-            rows = []
-    if rows:
-        yield RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
-
-
-def roundtrip_file(path: str, records: Iterable[UpdateRecord]) -> List[UpdateRecord]:
-    """Write ``records`` to ``path`` and read them back (test helper)."""
-    with open(path, "wb") as f:
-        write_records(f, records)
-    with open(path, "rb") as f:
-        return list(read_records(f))

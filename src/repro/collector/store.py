@@ -59,11 +59,11 @@ class DayStore:
         for record in records:
             self.add(record)
 
-    def mark_lost(self, day: int, bin_index: int) -> None:
+    def mark_lost(self, day: int, bin_no: int) -> None:
         """Mark a ten-minute bin of ``day`` as a collection outage."""
-        if not 0 <= bin_index < 144:
-            raise ValueError(f"bin index {bin_index} out of range")
-        self._lost_bins[day].add(bin_index)
+        if not 0 <= bin_no < 144:
+            raise ValueError(f"bin index {bin_no} out of range")
+        self._lost_bins[day].add(bin_no)
         self._days.setdefault(day, [])
 
     # -- access -------------------------------------------------------------

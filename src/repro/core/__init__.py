@@ -19,9 +19,7 @@ from .columns import (
 from .instability import (
     CategoryCounts,
     Incident,
-    counts_by_peer,
     counts_by_peer_columns,
-    counts_by_prefix_as,
     counts_by_prefix_as_columns,
     detect_incidents,
     persistence,
@@ -43,9 +41,7 @@ __all__ = [
     "decode_categories",
     "CategoryCounts",
     "Incident",
-    "counts_by_peer",
     "counts_by_peer_columns",
-    "counts_by_prefix_as",
     "counts_by_prefix_as_columns",
     "detect_incidents",
     "persistence",

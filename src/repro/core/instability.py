@@ -4,8 +4,11 @@ Aggregations the paper's analyses and the benchmark harness share:
 
 - :class:`CategoryCounts` — per-category tallies with the paper's
   instability / pathological / uncategorized roll-ups;
-- :func:`counts_by_peer`, :func:`counts_by_prefix_as` — the groupings
-  behind Figures 6 and 7;
+- :func:`counts_by_peer_columns`, :func:`counts_by_prefix_as_columns`,
+  :func:`counts_by_prefix_columns` — the groupings behind Figures 6
+  and 7, over a classified
+  :class:`~repro.core.columns.RecordColumns` batch and its category
+  codes (:mod:`repro.verify.reference` is their oracle);
 - :func:`detect_incidents` — the paper's "pathological routing
   incident": a period where aggregate instability exceeds the normal
   level by an order of magnitude or more;
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +37,9 @@ from .taxonomy import (
 
 __all__ = [
     "CategoryCounts",
-    "counts_by_peer",
     "counts_by_peer_columns",
-    "counts_by_prefix_as",
     "counts_by_prefix_as_columns",
+    "counts_by_prefix_columns",
     "detect_incidents",
     "persistence",
     "Incident",
@@ -161,37 +163,14 @@ class CategoryCounts:
         return result
 
 
-def counts_by_peer(
-    updates: Iterable[ClassifiedUpdate],
-) -> Dict[int, CategoryCounts]:
-    """Per-peer-AS category counts (Figure 6's per-peer points)."""
-    result: Dict[int, CategoryCounts] = defaultdict(CategoryCounts)
-    for update in updates:
-        result[update.peer_asn].add(update)
-    return dict(result)
-
-
-def counts_by_prefix_as(
-    updates: Iterable[ClassifiedUpdate],
-    category: Optional[UpdateCategory] = None,
-) -> Dict[PrefixAs, int]:
-    """Events per Prefix+AS pair, optionally restricted to one category
-    (Figure 7's histogram input)."""
-    result: Counter = Counter()
-    for update in updates:
-        if category is None or update.category is category:
-            result[update.prefix_as] += 1
-    return dict(result)
-
-
 def counts_by_peer_columns(
     columns,
     codes: "np.ndarray",
     policy: Optional["np.ndarray"] = None,
 ) -> Dict[int, "CategoryCounts"]:
-    """Columnar :func:`counts_by_peer`: per-peer-AS category counts
-    from a classified :class:`~repro.core.columns.RecordColumns`
-    batch, via one ``np.unique`` over (peer ASN, code) keys."""
+    """Per-peer-AS category counts (Figure 6's per-peer points) from a
+    classified :class:`~repro.core.columns.RecordColumns` batch, via
+    one ``np.unique`` over (peer ASN, code) keys."""
     codes = np.asarray(codes)
     key = columns.peer_asn.astype(np.uint64) * 16 + codes
     unique, totals = np.unique(key, return_counts=True)
@@ -218,6 +197,8 @@ def _pair_group_counts(columns, codes, category, keys):
     group_counts)``."""
     data = columns.data
     if category is not None:
+        if codes is None:
+            raise ValueError("filtering by category needs the codes")
         data = data[np.asarray(codes) == category.value]
     if len(data) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -241,9 +222,9 @@ def counts_by_prefix_as_columns(
     codes: Optional["np.ndarray"] = None,
     category: Optional[UpdateCategory] = None,
 ) -> Dict[PrefixAs, int]:
-    """Columnar :func:`counts_by_prefix_as`: events per Prefix+AS pair
-    (Figure 7's histogram input) from a
-    :class:`~repro.core.columns.RecordColumns` batch."""
+    """Events per Prefix+AS pair (Figure 7's histogram input) from a
+    :class:`~repro.core.columns.RecordColumns` batch, optionally
+    restricted to one category (which needs the batch's ``codes``)."""
     s, starts, counts = _pair_group_counts(
         columns, codes, category, ("peer_asn", "net", "plen")
     )
@@ -261,7 +242,13 @@ def counts_by_prefix_columns(
     codes: Optional["np.ndarray"] = None,
     category: Optional[UpdateCategory] = None,
 ) -> Dict[Prefix, int]:
-    """Columnar :func:`counts_by_prefix` (AS dimension collapsed)."""
+    """Events per bare prefix (AS dimension collapsed).
+
+    The paper: "An investigation of instability aggregated on prefix
+    alone generated results similar to those shown in this section and
+    have been omitted" — this is that aggregation, so the claim can be
+    verified rather than taken on faith.
+    """
     s, starts, counts = _pair_group_counts(
         columns, codes, category, ("net", "plen")
     )
@@ -271,24 +258,6 @@ def counts_by_prefix_columns(
     for net, plen, count in zip(nets, plens, counts.tolist()):
         result[Prefix(net, plen)] = count
     return result
-
-
-def counts_by_prefix(
-    updates: Iterable[ClassifiedUpdate],
-    category: Optional[UpdateCategory] = None,
-) -> Dict:
-    """Events per bare prefix (AS dimension collapsed).
-
-    The paper: "An investigation of instability aggregated on prefix
-    alone generated results similar to those shown in this section and
-    have been omitted" — this is that aggregation, so the claim can be
-    verified rather than taken on faith.
-    """
-    result: Counter = Counter()
-    for update in updates:
-        if category is None or update.category is category:
-            result[update.prefix] += 1
-    return dict(result)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.distribution import dominated_days, mass_below, monthly_cdfs
+from ..analysis.distribution import (
+    daily_cdf,
+    dominated_days,
+    mass_below,
+    monthly_cdfs,
+)
 from ..core.report import ExperimentResult, Series, Table
 from ..core.taxonomy import UpdateCategory
 from ..workloads.generator import GeneratorTargets
@@ -126,12 +131,10 @@ def run(seed: int = 4) -> ExperimentResult:
     # The paper's omitted variant: "instability aggregated on prefix
     # alone generated results similar to those shown."  Verify the
     # similarity instead of assuming it.
-    from ..analysis.distribution import daily_cdf
-
     prefix_only_mass = []
-    for day, updates in sorted(daily.items()):
+    for day, classified in sorted(daily.items()):
         curve = daily_cdf(
-            updates, UpdateCategory.AADIFF, day, by_prefix_only=True
+            classified, UpdateCategory.AADIFF, day, by_prefix_only=True
         )
         if curve is not None:
             prefix_only_mass.append(curve.mass_at_or_below(10))

@@ -20,20 +20,18 @@ Two-part reproduction:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..analysis.interarrival import (
     daily_boxes,
     histogram_proportions,
-    interarrival_times,
+    interarrival_columns,
     timer_bin_mass,
 )
 from ..collector.log import MemoryLog
-from ..core.classifier import classify
+from ..core.columns import RecordColumns
 from ..core.report import ExperimentResult, Series, Table
-from ..core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
+from ..core.taxonomy import FINE_GRAINED_CATEGORIES
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.igp import IgpBgpRedistribution, IgpTable
@@ -45,9 +43,10 @@ from .figure6 import AUGUST, classified_month_columns, fine_grained_generator
 __all__ = ["run", "run_mechanisms"]
 
 
-def run_mechanisms(duration: float = 4 * 3600.0) -> List[float]:
-    """The mechanism tier: returns the gap list from an event-driven
-    simulation containing a CSU link and an IGP/BGP loop."""
+def run_mechanisms(duration: float = 4 * 3600.0) -> np.ndarray:
+    """The mechanism tier: returns the Prefix+AS gaps from an
+    event-driven simulation containing a CSU link and an IGP/BGP loop
+    (all categories, so no classification is needed)."""
     engine = Engine()
     sink = MemoryLog()
     server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
@@ -71,8 +70,7 @@ def run_mechanisms(duration: float = 4 * 3600.0) -> List[float]:
     loop.start()
     connect(provider_b, server)
     engine.run_until(duration)
-    updates = list(classify(sink.sorted_by_time()))
-    return interarrival_times(updates)
+    return interarrival_columns(RecordColumns.from_records(sink.records))
 
 
 def run(seed: int = 4) -> ExperimentResult:

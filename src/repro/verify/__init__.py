@@ -46,6 +46,7 @@ from .reference import (
     reference_counts,
     reference_counts_by_peer,
     reference_counts_by_prefix,
+    reference_counts_by_prefix_as,
     reference_bin_counts,
     reference_detect,
     reference_detection_counts,
@@ -81,6 +82,7 @@ __all__ = [
     "reference_counts",
     "reference_counts_by_peer",
     "reference_counts_by_prefix",
+    "reference_counts_by_prefix_as",
     "reference_bin_counts",
     "reference_detect",
     "reference_detection_counts",

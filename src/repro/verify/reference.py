@@ -39,6 +39,7 @@ __all__ = [
     "reference_counts",
     "reference_counts_by_peer",
     "reference_counts_by_prefix",
+    "reference_counts_by_prefix_as",
     "reference_bin_counts",
     "reference_interarrival_histogram",
     "reference_digest",
@@ -167,6 +168,24 @@ def reference_counts_by_prefix(records: Iterable) -> Dict[str, int]:
     result: Dict[str, int] = {}
     for record in records:
         key = f"{record.prefix.network}/{record.prefix.length}"
+        result[key] = result.get(key, 0) + 1
+    return result
+
+
+def reference_counts_by_prefix_as(
+    records: Iterable,
+    category: Optional[str] = None,
+) -> Dict[tuple, int]:
+    """Events per Prefix+AS pair (Figure 7's input), keyed
+    ``(network, length, peer AS)``, optionally restricted to one
+    taxonomy category."""
+    records = list(records)
+    labels = reference_classify(records)
+    result: Dict[tuple, int] = {}
+    for record, (name, _) in zip(records, labels):
+        if category is not None and name != category:
+            continue
+        key = (record.prefix.network, record.prefix.length, record.peer_asn)
         result[key] = result.get(key, 0) + 1
     return result
 

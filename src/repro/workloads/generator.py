@@ -807,10 +807,10 @@ class TraceGenerator:
         while remaining > 0:
             episode = min(remaining, self._geometric(rng, 1.0 / 3.0))
             remaining -= episode
-            bin_index = self._sample_bin(rng, plan)
-            if bin_index is None:
+            bin_no = self._sample_bin(rng, plan)
+            if bin_no is None:
                 return  # whole day lost
-            t = day_start + (bin_index + rng.random()) * (
+            t = day_start + (bin_no + rng.random()) * (
                 SECONDS_PER_DAY / BINS_PER_DAY
             )
             period = self._episode_period(rng)
@@ -950,10 +950,10 @@ class TraceGenerator:
                     episode = remaining
                 remaining -= episode
                 # Inlined _sample_bin over the cached running sums.
-                bin_index = bisect_left(cum, rand() * total)
-                if bin_index == n_bins:
-                    bin_index = n_bins - 1
-                t0 = day_start + (bin_index + rand()) * bin_width
+                bin_no = bisect_left(cum, rand() * total)
+                if bin_no == n_bins:
+                    bin_no = n_bins - 1
+                t0 = day_start + (bin_no + rand()) * bin_width
                 # Inlined _episode_period: the Figure 8 mixture.
                 u = rand()
                 if u < mass_30:

@@ -39,10 +39,10 @@ class Incident:
     start_bin: int = 0
     end_bin: int = BINS_PER_DAY
 
-    def covers(self, day: int, bin_index: int) -> bool:
+    def covers(self, day: int, bin_no: int) -> bool:
         return (
             self.first_day <= day <= self.last_day
-            and self.start_bin <= bin_index < self.end_bin
+            and self.start_bin <= bin_no < self.end_bin
         )
 
 
@@ -75,18 +75,18 @@ class IncidentSchedule:
         self._lost.setdefault(day, set()).update(bins)
         return self
 
-    def multiplier(self, day: int, bin_index: int) -> float:
+    def multiplier(self, day: int, bin_no: int) -> float:
         factor = 1.0
         for incident in self.incidents:
-            if incident.covers(day, bin_index):
+            if incident.covers(day, bin_no):
                 factor *= incident.magnitude
         return factor
 
     def lost_bins(self, day: int) -> Set[int]:
         return set(self._lost.get(day, ()))
 
-    def is_lost(self, day: int, bin_index: int) -> bool:
-        return bin_index in self._lost.get(day, ())
+    def is_lost(self, day: int, bin_no: int) -> bool:
+        return bin_no in self._lost.get(day, ())
 
     def coverage(self, day: int) -> float:
         return 1.0 - len(self._lost.get(day, ())) / BINS_PER_DAY

@@ -2,7 +2,8 @@
 (Fig 3), contribution (Fig 6), distribution (Fig 7), affected (Fig 9),
 multihoming (Fig 10)."""
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.analysis.affected import (
@@ -29,7 +30,8 @@ from repro.analysis.interarrival import (
     bin_label,
     daily_boxes,
     histogram_proportions,
-    interarrival_times,
+    interarrival_columns,
+    proportions_from_counts,
     timer_bin_mass,
 )
 from repro.analysis.multihoming import (
@@ -40,10 +42,16 @@ from repro.analysis.multihoming import (
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.rib import LocRib
 from repro.core.classifier import classify
-from repro.core.taxonomy import UpdateCategory
+from repro.core.columns import RecordColumns, classify_columns
+from repro.core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
 from repro.collector.record import UpdateKind, UpdateRecord
 from repro.net.prefix import Prefix
 from repro.topology.multihoming import MultihomingGrowthModel
+from repro.verify.reference import (
+    reference_counts_by_peer,
+    reference_interarrival_histogram,
+)
+from repro.verify.streams import fuzz_stream
 
 P = Prefix.parse
 ATTRS = PathAttributes(as_path=AsPath((701,)), next_hop=1)
@@ -61,6 +69,31 @@ def classified(records):
     return list(classify(sorted(records, key=lambda r: r.time)))
 
 
+def oracle_days(n_days=4):
+    """Fuzz streams (exact time ties) as days; odd days are shuffled so
+    their records arrive out of time order.  Classified in stream
+    order, which is also the order the oracle classifies in."""
+    days = {}
+    for day in range(n_days):
+        records = fuzz_stream(day, n_records=200).records
+        if day % 2:
+            records = list(records)
+            random.Random(day).shuffle(records)
+        columns = RecordColumns.from_records(records)
+        days[day] = (records, (columns, classify_columns(columns)[0]))
+    return days
+
+
+def classified_columns(records):
+    """One day as the columnar tier hands it to the Figure 6–8
+    analyses: ``(RecordColumns, codes)`` in time order."""
+    columns = RecordColumns.from_records(
+        sorted(records, key=lambda r: r.time)
+    )
+    codes, _ = classify_columns(columns)
+    return columns, codes
+
+
 class TestInterarrival:
     def test_bins_cover_paper_labels(self):
         assert len(FIGURE8_BINS) == 12
@@ -68,17 +101,22 @@ class TestInterarrival:
         assert bin_label(11) == "24h"
 
     def test_gaps_computed_per_pair(self):
-        updates = classified(
+        columns, _ = classified_columns(
             [A(0), A(30), A(60), A(0, prefix="11.0.0.0/8"),
              A(45, prefix="11.0.0.0/8")]
         )
-        gaps = sorted(interarrival_times(updates))
+        gaps = sorted(interarrival_columns(columns).tolist())
         assert gaps == [30.0, 30.0, 45.0]
 
     def test_category_filter(self):
-        updates = classified([A(0), A(30), W(60), W(90), W(120)])
-        wwdup_gaps = interarrival_times(updates, UpdateCategory.WWDUP)
-        assert wwdup_gaps == [30.0]  # gaps among the two WWDUPs only
+        columns, codes = classified_columns(
+            [A(0), A(30), W(60), W(90), W(120)]
+        )
+        wwdup_gaps = interarrival_columns(
+            columns, codes, UpdateCategory.WWDUP
+        )
+        # gaps among the two WWDUPs only
+        assert wwdup_gaps.tolist() == [30.0]
 
     def test_histogram_proportions(self):
         proportions = histogram_proportions([30.0, 30.0, 59.0, 3000.0])
@@ -98,11 +136,25 @@ class TestInterarrival:
         for day in range(4):
             base = day * 86400.0
             # Each day: three AADups 30s apart.
-            days.append(classified([A(base), A(base + 30), A(base + 60)]))
+            days.append(
+                classified_columns([A(base), A(base + 30), A(base + 60)])
+            )
         boxes = daily_boxes(days, UpdateCategory.AADUP)
         bin_30s = boxes[2]
         assert bin_30s.median == pytest.approx(1.0)
         assert bin_30s.q1 <= bin_30s.median <= bin_30s.q3
+
+    def test_one_day_box_is_the_oracle_histogram(self):
+        """A single day's box collapses onto that day's proportions,
+        which must be the oracle's."""
+        for records, classified in oracle_days().values():
+            for category in FINE_GRAINED_CATEGORIES:
+                expected = proportions_from_counts(
+                    reference_interarrival_histogram(records, category.name)
+                )
+                boxes = daily_boxes([classified], category)
+                for box, share in zip(boxes, expected):
+                    assert box.median == box.q1 == box.q3 == share
 
 
 class TestDensity:
@@ -181,7 +233,7 @@ class TestContribution:
                         W(base + i * 100 + j, prefix=f"10.{asn}.{j}.0/24",
                           asn=asn, peer=asn)
                     )
-            daily[day] = classified(records)
+            daily[day] = classified_columns(records)
         return daily
 
     def test_points_one_per_peer_per_day(self):
@@ -219,6 +271,29 @@ class TestContribution:
         assert correlation([]) == 0.0
         assert consistent_dominators([]) == []
 
+    def test_update_shares_match_oracle(self):
+        days = oracle_days()
+        shares = {asn: 0.25 for asn in (200, 201, 202, 203)}
+        for category in FINE_GRAINED_CATEGORIES:
+            points = contribution_points(
+                {day: classified for day, (_, classified) in days.items()},
+                shares,
+                category,
+            )
+            got = {(p.day, p.peer_asn): p.update_share for p in points}
+            expected = {}
+            for day, (records, _) in days.items():
+                by_peer = reference_counts_by_peer(records)
+                counts = {
+                    asn: by_peer.get(asn, {}).get(category.name, 0)
+                    for asn in shares
+                }
+                total = sum(counts.values())
+                if total:
+                    for asn, count in counts.items():
+                        expected[day, asn] = count / total
+            assert got == expected, category
+
 
 class TestDistribution:
     def _updates(self):
@@ -229,7 +304,7 @@ class TestDistribution:
             records.append(W(i * 10.0 + 5, prefix=f"10.0.{i}.0/24"))
         for j in range(80):
             records.append(W(1000.0 + j, prefix="10.1.0.0/24"))
-        return classified(records)
+        return classified_columns(records)
 
     def test_cdf_structure(self):
         curve = daily_cdf(self._updates(), UpdateCategory.WWDUP)
@@ -248,8 +323,10 @@ class TestDistribution:
         assert daily_cdf(self._updates(), UpdateCategory.AADIFF) is None
 
     def test_monthly_and_dominated_days(self):
-        daily = {0: self._updates(), 1: classified([W(86400.0 + i * 7)
-                 for i in range(5)])}
+        daily = {
+            0: self._updates(),
+            1: classified_columns([W(86400.0 + i * 7) for i in range(5)]),
+        }
         curves = monthly_cdfs(daily, UpdateCategory.WWDUP)
         assert [c.day for c in curves] == [0, 1]
         # Day 0 has a pair with 80 > 50 events carrying 80% of mass.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
-from repro.collector.log import CountingLog, FileLog, MemoryLog, open_log
+from repro.collector.log import CountingLog, MemoryLog
 from repro.collector.mrt import MAGIC, MrtError, read_records, write_records
 from repro.collector.record import (
     UpdateKind,
@@ -162,18 +162,6 @@ class TestLogs:
         assert [r.time for r in log.sorted_by_time()] == [1.0, 2.0]
         log.clear()
         assert len(log) == 0
-
-    def test_file_log_roundtrip(self, tmp_path):
-        path = tmp_path / "updates.mrt"
-        records = [announce(time=1.0), withdraw(time=2.0)]
-        with FileLog(path).writer() as writer:
-            writer.extend(records)
-            assert writer.count == 2
-        assert FileLog(path).read_all() == records
-
-    def test_open_log_factory(self, tmp_path):
-        assert isinstance(open_log(), MemoryLog)
-        assert isinstance(open_log(tmp_path / "x.mrt"), FileLog)
 
     def test_counting_log_rows(self):
         log = CountingLog()

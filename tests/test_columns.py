@@ -4,11 +4,11 @@ The dependency-free oracle (:mod:`repro.verify.reference`) is the
 reference implementation of the paper's taxonomy; the columnar tier
 must reproduce it bit for bit.  These tests assert record-for-record
 agreement on randomized mixed streams (including cross-batch state
-carryover), lossless conversion, archive roundtrips, and equality of
-every columnar analysis entry point with its record-list counterpart.
+carryover), lossless conversion, and equality of every columnar
+aggregation (the Figure 6–8 inputs) with its oracle.
 """
 
-import io
+import itertools
 import random
 
 import numpy as np
@@ -16,21 +16,14 @@ import pytest
 
 from repro.analysis.distribution import daily_cdf
 from repro.analysis.interarrival import (
+    histogram_counts,
     histogram_proportions,
     interarrival_columns,
-    interarrival_times,
+    proportions_from_counts,
 )
 from repro.analysis.timeseries import bin_records
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.collector.log import FileLog
-from repro.collector.mrt import (
-    read_column_batches,
-    read_records,
-    write_columns,
-    write_records,
-)
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import classify
 from repro.core.columns import (
     NO_ATTR,
     AttributeTable,
@@ -41,14 +34,25 @@ from repro.core.columns import (
 )
 from repro.core.instability import (
     CategoryCounts,
-    counts_by_peer,
     counts_by_peer_columns,
-    counts_by_prefix_as,
     counts_by_prefix_as_columns,
+    counts_by_prefix_columns,
 )
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
-from repro.verify.reference import reference_classify
+from repro.verify.reference import (
+    reference_classify,
+    reference_counts,
+    reference_counts_by_peer,
+    reference_counts_by_prefix,
+    reference_counts_by_prefix_as,
+    reference_interarrival_histogram,
+)
+from repro.verify.streams import (
+    ADVERSARIAL_GENERATORS,
+    detection_subprefix_overlap,
+    fuzz_stream,
+)
 from repro.workloads.generator import TraceGenerator
 
 #: A small attribute vocabulary exercising every comparison outcome:
@@ -224,106 +228,185 @@ class TestGeneratorColumns:
         assert a.attrs is table and b.attrs is table
 
 
-class TestColumnarArchive:
-    def test_write_columns_bytes_identical(self):
-        rng = random.Random(5)
-        stream = random_stream(rng, 300)
-        columns = RecordColumns.from_records(stream)
-        buf_columns, buf_records = io.BytesIO(), io.BytesIO()
-        write_columns(buf_columns, columns)
-        write_records(buf_records, stream)
-        assert buf_columns.getvalue() == buf_records.getvalue()
+def _oracle_corpus():
+    """(name, records) streams the columnar analyses are held to the
+    oracle on: fuzz streams (with exact time ties), the adversarial
+    constructions, nested prefixes that share a network address
+    (a /16 cover, /20s and /24s), and shuffled copies whose records are
+    out of time order (both tiers classify in stream order; the gap
+    and count aggregations must not depend on it)."""
+    corpus = [
+        (f"fuzz{seed}", fuzz_stream(seed, n_records=240).records)
+        for seed in range(6)
+    ]
+    corpus += [
+        (name, generator(3).records)
+        for name, generator in ADVERSARIAL_GENERATORS.items()
+    ]
+    corpus += [
+        (f"nested{seed}", detection_subprefix_overlap(seed).records)
+        for seed in range(2)
+    ]
+    for name, records in corpus[:3] + corpus[-2:]:
+        shuffled = list(records)
+        random.Random(name).shuffle(shuffled)
+        corpus.append((f"{name}-shuffled", shuffled))
+    corpus.append(("mixed", random_stream(random.Random(11), 800)))
+    return corpus
 
-    def test_read_column_batches_matches_streaming_reader(self):
-        rng = random.Random(6)
-        stream = random_stream(rng, 500)
-        buf = io.BytesIO()
-        write_records(buf, stream)
-        buf.seek(0)
-        expected = list(read_records(buf))
-        buf.seek(0)
-        batches = list(read_column_batches(buf, batch_size=64))
-        assert all(len(b) <= 64 for b in batches)
-        assert sum(len(b) for b in batches) == len(expected)
-        merged = RecordColumns.concat(batches)
-        assert merged.to_records() == expected
 
-    def test_filelog_columnar_roundtrip(self, tmp_path):
-        generator = TraceGenerator(seed=8)
-        columns = generator.day_columns(2, pair_fraction=0.02)
-        log = FileLog(tmp_path / "a.mrt")
-        with log.writer() as writer:
-            writer.extend_columns(columns)
-            assert writer.count == len(columns)
-        back = log.read_columns()
-        # Streaming and columnar readers agree (times quantized to the
-        # archive's microsecond resolution by both).
-        assert back.to_records() == log.read_all()
-        assert len(back) == len(columns)
+ORACLE_CORPUS = _oracle_corpus()
+
+
+def _classified(records):
+    columns = RecordColumns.from_records(records)
+    codes, policy = classify_columns(columns)
+    return columns, codes, policy
+
+
+def _pair_keys(per_pair):
+    """Columnar ``{(Prefix, asn): n}`` in the oracle's key shape."""
+    return {
+        (prefix.network, prefix.length, asn): count
+        for (prefix, asn), count in per_pair.items()
+    }
+
+
+def _oracle_cdf(per_pair):
+    """Figure 7's curve the obvious way: for each distinct pair count
+    k, the share of events from pairs with at most k events."""
+    counts = list(per_pair.values())
+    total = sum(counts)
+    thresholds = sorted(set(counts))
+    cumulative = [
+        sum(c for c in counts if c <= k) / total for k in thresholds
+    ]
+    return thresholds, cumulative, total, max(counts)
 
 
 class TestColumnarAnalyses:
-    def _classified(self, seed=11, n=800):
-        rng = random.Random(seed)
-        stream = random_stream(rng, n)
-        columns = RecordColumns.from_records(stream)
-        codes, policy = classify_columns(columns)
-        updates = list(classify(stream))
-        return stream, columns, codes, policy, updates
+    """Every columnar aggregation against :mod:`repro.verify.reference`
+    over :data:`ORACLE_CORPUS`."""
 
     def test_category_counts_from_codes(self):
-        _, _, codes, policy, updates = self._classified()
-        expected = CategoryCounts()
-        expected.extend(updates)
-        result = CategoryCounts.from_codes(codes, policy)
-        assert result.counts == expected.counts
-        assert result.policy_changes == expected.policy_changes
-        assert result.instability == expected.instability
-        assert result.pathological == expected.pathological
+        for name, records in ORACLE_CORPUS:
+            _, codes, policy = _classified(records)
+            result = CategoryCounts.from_codes(codes, policy)
+            got = dict(
+                result.nonzero_dict(), policy_changes=result.policy_changes
+            )
+            assert got == reference_counts(records), name
 
     def test_counts_by_peer_columns(self):
-        _, columns, codes, policy, updates = self._classified()
-        expected = counts_by_peer(updates)
-        result = counts_by_peer_columns(columns, codes, policy)
-        assert set(result) == set(expected)
-        for asn in expected:
-            assert result[asn].counts == expected[asn].counts
-            assert result[asn].policy_changes == expected[asn].policy_changes
+        for name, records in ORACLE_CORPUS:
+            columns, codes, policy = _classified(records)
+            result = counts_by_peer_columns(columns, codes, policy)
+            got = {
+                asn: dict(
+                    counts.nonzero_dict(),
+                    policy_changes=counts.policy_changes,
+                )
+                for asn, counts in result.items()
+            }
+            assert got == reference_counts_by_peer(records), name
+
+    @pytest.mark.parametrize("category", [None, *UpdateCategory])
+    def test_counts_by_prefix_as_columns(self, category):
+        name_of = category.name if category is not None else None
+        for name, records in ORACLE_CORPUS:
+            columns, codes, _ = _classified(records)
+            got = counts_by_prefix_as_columns(columns, codes, category)
+            expected = reference_counts_by_prefix_as(records, name_of)
+            assert _pair_keys(got) == expected, name
 
     @pytest.mark.parametrize(
         "category", [None, UpdateCategory.AADUP, UpdateCategory.WWDUP]
     )
-    def test_counts_by_prefix_as_columns(self, category):
-        _, columns, codes, _, updates = self._classified()
-        assert counts_by_prefix_as_columns(
-            columns, codes, category
-        ) == counts_by_prefix_as(updates, category)
+    def test_counts_by_prefix_columns(self, category):
+        name_of = category.name if category is not None else None
+        for name, records in ORACLE_CORPUS:
+            columns, codes, _ = _classified(records)
+            got = {
+                f"{prefix.network}/{prefix.length}": count
+                for prefix, count in counts_by_prefix_columns(
+                    columns, codes, category
+                ).items()
+            }
+            expected = {}
+            for (net, plen, _), count in reference_counts_by_prefix_as(
+                records, name_of
+            ).items():
+                key = f"{net}/{plen}"
+                expected[key] = expected.get(key, 0) + count
+            assert got == expected, name
+            if category is None:
+                assert got == reference_counts_by_prefix(records), name
 
     def test_daily_cdf_columns(self):
-        _, columns, codes, _, updates = self._classified()
-        streaming = daily_cdf(updates, UpdateCategory.AADUP)
-        columnar = daily_cdf((columns, codes), UpdateCategory.AADUP)
-        assert columnar.thresholds == streaming.thresholds
-        assert columnar.cumulative == streaming.cumulative
-        assert columnar.total_events == streaming.total_events
+        for name, records in ORACLE_CORPUS:
+            columns, codes, _ = _classified(records)
+            for category, by_prefix_only in itertools.product(
+                UpdateCategory, (False, True)
+            ):
+                curve = daily_cdf(
+                    (columns, codes), category, 7, by_prefix_only
+                )
+                per_pair = reference_counts_by_prefix_as(
+                    records, category.name
+                )
+                if by_prefix_only:
+                    per_prefix = {}
+                    for (net, plen, _), count in per_pair.items():
+                        per_prefix[net, plen] = (
+                            per_prefix.get((net, plen), 0) + count
+                        )
+                    per_pair = per_prefix
+                if not per_pair:
+                    assert curve is None, (name, category)
+                    continue
+                assert curve.day == 7 and curve.category is category
+                assert (
+                    curve.thresholds,
+                    curve.cumulative,
+                    curve.total_events,
+                    curve.max_pair_events,
+                ) == _oracle_cdf(per_pair), (name, category)
 
     def test_interarrival_columns(self):
-        _, columns, codes, _, updates = self._classified()
-        for category in (None, UpdateCategory.AADUP):
-            streaming = sorted(interarrival_times(updates, category))
-            columnar = np.sort(
-                interarrival_columns(columns, codes, category)
-            )
-            assert len(streaming) == len(columnar)
-            assert np.allclose(streaming, columnar)
-            # The tuple dispatch and the vectorized histogram agree too.
-            tupled = interarrival_times((columns, codes), category)
-            assert histogram_proportions(tupled) == histogram_proportions(
-                interarrival_times(updates, category)
-            )
+        for name, records in ORACLE_CORPUS:
+            columns, codes, _ = _classified(records)
+            for category in (None, *UpdateCategory):
+                name_of = category.name if category is not None else None
+                gaps = interarrival_columns(columns, codes, category)
+                expected = reference_interarrival_histogram(records, name_of)
+                assert histogram_counts(gaps).tolist() == expected, (
+                    name, category,
+                )
+                assert histogram_proportions(gaps) == (
+                    proportions_from_counts(expected)
+                )
+
+    def test_category_filter_needs_codes(self):
+        """Filtering by category without the codes is a caller error,
+        not an empty result."""
+        generator = TraceGenerator(seed=5)
+        columns = generator.day_columns(3, pair_fraction=0.02)
+        codes, _ = classify_columns(columns)
+        wwdup = UpdateCategory.WWDUP
+        assert counts_by_prefix_as_columns(columns, codes, wwdup)
+        for grouping in (
+            counts_by_prefix_as_columns,
+            counts_by_prefix_columns,
+            interarrival_columns,
+        ):
+            with pytest.raises(ValueError):
+                grouping(columns, category=wwdup)
+            # Without a category the codes are not needed.
+            assert len(grouping(columns)) > 0
 
     def test_bin_records_columnar(self):
-        stream, columns, _, _, _ = self._classified()
+        stream = random_stream(random.Random(11), 800)
+        columns = RecordColumns.from_records(stream)
         streaming = bin_records(stream, bin_width=60.0)
         assert (bin_records(columns, bin_width=60.0) == streaming).all()
         times = np.array([r.time for r in stream])

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.classifier import classify
+from repro.core.columns import RecordColumns, classify_columns
 from repro.core.instability import (
     CategoryCounts,
-    counts_by_peer,
-    counts_by_prefix_as,
+    counts_by_peer_columns,
+    counts_by_prefix_as_columns,
     detect_incidents,
     persistence,
 )
@@ -18,6 +19,12 @@ from .test_classifier import A, W, ATTRS_B, PFX
 
 def classified(records):
     return list(classify(records))
+
+
+def classified_columns(records):
+    columns = RecordColumns.from_records(records)
+    codes, policy = classify_columns(columns)
+    return columns, codes, policy
 
 
 class TestCategoryCounts:
@@ -62,21 +69,31 @@ class TestCategoryCounts:
 
 class TestGroupings:
     def test_counts_by_peer(self):
-        updates = classified(
-            [A(0, peer=1, asn=701), W(1, peer=2, asn=1239), A(2, peer=1, asn=701)]
+        by_peer = counts_by_peer_columns(
+            *classified_columns(
+                [
+                    A(0, peer=1, asn=701),
+                    W(1, peer=2, asn=1239),
+                    A(2, peer=1, asn=701),
+                ]
+            )
         )
-        by_peer = counts_by_peer(updates)
         assert by_peer[701].total == 2
+        assert by_peer[701][UpdateCategory.AADUP] == 1
         assert by_peer[1239].total == 1
 
     def test_counts_by_prefix_as(self):
-        updates = classified([A(0), A(1), A(2), W(3), W(4), W(5)])
-        pairs = counts_by_prefix_as(updates)
-        assert pairs[(PFX, 701)] == 6
+        columns, codes, _ = classified_columns(
+            [A(0), A(1), A(2), W(3), W(4), W(5)]
+        )
+        pairs = counts_by_prefix_as_columns(columns, codes)
+        assert pairs == {(PFX, 701): 6}
 
     def test_counts_by_prefix_as_filtered(self):
-        updates = classified([A(0), A(1), W(2), W(3)])
-        wwdups = counts_by_prefix_as(updates, UpdateCategory.WWDUP)
+        columns, codes, _ = classified_columns([A(0), A(1), W(2), W(3)])
+        wwdups = counts_by_prefix_as_columns(
+            columns, codes, UpdateCategory.WWDUP
+        )
         assert wwdups == {(PFX, 701): 1}
 
 

@@ -26,6 +26,7 @@ from repro.lint import (
 )
 
 ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 def lint_snippets(tmp_path, files, rule=None):
@@ -741,3 +742,8 @@ class TestRepoIsClean:
             "policy: fix or pragma-justify findings instead of "
             "baselining them (see docs/LINTING.md)"
         )
+
+    def test_numpy_rng_is_seeded(self):
+        # The one numpy RNG in the tree must stay an explicit default_rng(seed).
+        ssa = (SRC / "analysis" / "ssa.py").read_text()
+        assert "default_rng(seed)" in ssa

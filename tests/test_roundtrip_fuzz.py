@@ -22,8 +22,8 @@ from repro.bgp.messages import (
     OpenMessage,
     UpdateMessage,
 )
-from repro.bgp.wire import decode_message, encode_message
-from repro.collector import mrt
+from repro.bgp.wire import WireError, decode_message, encode_message
+from repro.collector import mrt, mrt_rfc
 from repro.net.prefix import Prefix
 from repro.verify.streams import fuzz_stream
 
@@ -131,17 +131,51 @@ def test_mrt_write_read_write_identical_bytes(seed):
     assert second.getvalue() == first.getvalue()
 
 
-@pytest.mark.fuzz
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_mrt_columnar_write_matches_streaming_write(seed):
-    from repro.core.columns import RecordColumns
+# -- corrupted archives: the typed failure surface ---------------------------
 
-    records = fuzz_stream(seed, n_records=80).records
-    streaming = io.BytesIO()
-    mrt.write_records(streaming, records)
-    columnar = io.BytesIO()
-    mrt.write_columns(columnar, RecordColumns.from_records(records))
-    assert columnar.getvalue() == streaming.getvalue()
+#: Each surviving archive reader, with the writer that makes its input.
+ARCHIVE_CODECS = {
+    "house": (mrt.write_records, mrt.read_records),
+    "rfc6396": (mrt_rfc.write_bgp4mp, mrt_rfc.read_bgp4mp),
+}
+MUTANTS_PER_ARCHIVE = 160
+
+
+def mutate(rng, data):
+    """One random corruption of ``data``: flipped bits, a truncation,
+    an insertion of random bytes, or a deleted run."""
+    data = bytearray(data)
+    operation = rng.randrange(4)
+    if operation == 0:
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    elif operation == 1:
+        del data[rng.randrange(len(data)):]
+    elif operation == 2:
+        at = rng.randrange(len(data) + 1)
+        data[at:at] = rng.randbytes(rng.randint(1, 8))
+    else:
+        at = rng.randrange(len(data))
+        del data[at:at + rng.randint(1, 8)]
+    return bytes(data)
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("codec", sorted(ARCHIVE_CODECS))
+def test_corrupted_archives_raise_only_typed_errors(codec):
+    """A damaged archive may decode to fewer or different records, but
+    anything it raises is a MrtError or WireError, never a bare
+    ValueError or another crash."""
+    write, read = ARCHIVE_CODECS[codec]
+    rng = random.Random(f"corrupt-{codec}")
+    for seed in FUZZ_SEEDS:
+        archive = io.BytesIO()
+        write(archive, fuzz_stream(seed, n_records=12).records)
+        for _ in range(MUTANTS_PER_ARCHIVE):
+            try:
+                list(read(io.BytesIO(mutate(rng, archive.getvalue()))))
+            except (mrt.MrtError, WireError):
+                pass
 
 
 # -- AS-path regex round trips ----------------------------------------------

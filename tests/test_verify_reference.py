@@ -18,6 +18,7 @@ from repro.verify.reference import (
     reference_counts,
     reference_counts_by_peer,
     reference_counts_by_prefix,
+    reference_counts_by_prefix_as,
     reference_digest,
     reference_interarrival_histogram,
 )
@@ -141,6 +142,22 @@ class TestAggregations:
         assert by_prefix == {
             f"{PREFIX.network}/24": 2,
             f"{OTHER_PREFIX.network}/24": 1,
+        }
+
+    def test_counts_by_prefix_as_keys_and_category(self):
+        records = [
+            announce(0.0),
+            withdraw(1.0),
+            withdraw(2.0),
+            withdraw(3.0, peer=PEER + 1, asn=ASN + 1),
+        ]
+        assert reference_counts_by_prefix_as(records) == {
+            (PREFIX.network, 24, ASN): 3,
+            (PREFIX.network, 24, ASN + 1): 1,
+        }
+        assert reference_counts_by_prefix_as(records, "WWDUP") == {
+            (PREFIX.network, 24, ASN): 1,
+            (PREFIX.network, 24, ASN + 1): 1,
         }
 
     def test_bin_counts(self):

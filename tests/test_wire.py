@@ -133,6 +133,20 @@ class TestUpdate:
         with pytest.raises(WireError):
             decode_message(bytes(data))
 
+    def test_rejects_reserved_as_zero(self):
+        # A corrupted AS_PATH naming AS 0 is malformed wire data, not a
+        # bare ValueError from the AsPath constructor.
+        msg = UpdateMessage(
+            announced=(Prefix.parse("10.0.0.0/8"),),
+            attributes=PathAttributes(as_path=AsPath((7,)), next_hop=1),
+        )
+        data = bytearray(encode_message(msg))
+        idx = data.find(bytes([0x40, 2, 4, 2, 1, 0, 7]))
+        assert idx >= 0
+        data[idx + 6] = 0  # AS 7 -> AS 0
+        with pytest.raises(WireError):
+            decode_message(bytes(data))
+
 
 class TestFraming:
     def test_bad_marker(self):

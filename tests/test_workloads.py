@@ -1,11 +1,16 @@
 """Tests for calibration, the diurnal model, incidents, and the
 statistical trace generator."""
 
+import numpy as np
 import pytest
 
 from repro.collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.core.classifier import classify
-from repro.core.columns import ColumnClassifier
+from repro.core.columns import (
+    AttributeTable,
+    ColumnClassifier,
+    RecordColumns,
+)
 from repro.core.instability import CategoryCounts
 from repro.core.taxonomy import UpdateCategory
 from repro.workloads.calibration import FIGURE2_CATEGORY_MIX, PAPER
@@ -277,20 +282,28 @@ class TestMaterialization:
         short W->A micro-outages, so the category-filtered measure is
         the meaningful one."""
         from repro.analysis.interarrival import (
+            histogram_counts,
             histogram_proportions,
-            interarrival_times,
+            interarrival_columns,
             timer_bin_mass,
         )
+        from repro.verify.reference import reference_interarrival_histogram
 
         gen = TraceGenerator(population=small_population, seed=3)
         clf = ColumnClassifier()
-        updates = []
-        for day in range(3):
-            updates.extend(
-                classify(gen.day_records(day, pair_fraction=1.0), clf)
-            )
+        table = AttributeTable()
+        days = [
+            gen.day_columns(day, pair_fraction=1.0, attrs=table)
+            for day in range(3)
+        ]
+        codes = np.concatenate([clf.classify(day)[0] for day in days])
+        columns = RecordColumns.concat(days)
+        records = columns.to_records()
         for category in (UpdateCategory.AADUP, UpdateCategory.AADIFF):
-            gaps = interarrival_times(updates, category)
+            gaps = interarrival_columns(columns, codes, category)
+            assert histogram_counts(gaps).tolist() == (
+                reference_interarrival_histogram(records, category.name)
+            ), category
             mass = timer_bin_mass(histogram_proportions(gaps))
             assert mass > 0.4, category
 
